@@ -23,6 +23,7 @@ from .encoder import (
     SHORT_CODEWORD_BITS,
     SHORT_PAYLOAD_BITS,
     compute_generator,
+    encode,
     encode_lfsr,
     encode_polydiv_oracle,
     encode_shortened,

@@ -10,7 +10,9 @@ floor(p * 2^53), which is integer-exact for any double p.
 Per-frame sub-seeds are successive outputs of the master seed's stream
 (frame i uses sub-seed indices 2i for its message and 2i+1 for its
 channel noise), so frames are independent and results do not depend on
-evaluation order.
+evaluation order.  The BER harness draws a frame's noise first: a clean
+frame adds nothing to any counter, so it skips the message draw, the
+encode and the decode.
 """
 
 from __future__ import annotations
@@ -203,8 +205,9 @@ def bsc_corrupt(codeword: int, cfg: BscConfig) -> int:
 def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> BerReport:
     """Measure pre/post-FEC error rates over `frames` random frames.
 
-    Frame i: draw a 51-bit message from sub-seed 2i, encode, corrupt
-    through the BSC with sub-seed 2i+1, decode, and compare message bits.
+    Frame i: draw the BSC's flip mask from sub-seed 2i+1; unless it is
+    zero, draw a 51-bit message from sub-seed 2i, encode, corrupt, decode,
+    and compare message bits.
     Identical (p, frames, seed) always produce an identical report, in
     any evaluation order.
     """
@@ -213,14 +216,13 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
     message_mask = (1 << MESSAGE_BITS) - 1
     pre_fec = post_fec = uncorrectable = miscorrected = 0
     for i in range(frames):
-        message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
-        codeword = encode_lfsr(message)
         flips = bernoulli_mask(p, substream_seed(seed, 2 * i + 1), CODEWORD_BITS)
         if flips == 0:
             # A clean word always decodes NO_ERROR with the message intact,
             # so the frame contributes nothing to any counter.
             continue
-        received = codeword ^ flips
+        message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
+        received = encode_lfsr(message) ^ flips
         outcome = decode(received, tables)
         if outcome.status is DecodeStatus.UNCORRECTABLE:
             delivered = (received >> PARITY_BITS) & message_mask

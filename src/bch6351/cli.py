@@ -4,8 +4,10 @@ Frame files hold one frame per line.  A full-length frame is 16 hex
 digits (a 64-bit value); bit i of the value is the coefficient of x^i,
 so a message uses bits 0..50 (bits 51..63 must be zero) and a codeword
 bits 0..62 (bit 63 must be zero).  Shortened frames are 8 hex digits
-with payload bits 0..18 or codeword bits 0..30.  Reserved high bits set
-is a parse error, reported with its line number.
+with payload bits 0..18 or codeword bits 0..30.  A line holds exactly
+those digits, with surrounding whitespace allowed and nothing else (no
+sign, prefix or separator).  A malformed line, a non-ASCII byte or a set
+reserved bit is a parse error, reported with its file and line number.
 
 Decode writes an all-X sentinel line for uncorrectable frames so frame
 counts stay aligned across pipeline stages.
@@ -17,6 +19,7 @@ Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 
@@ -28,6 +31,7 @@ from .encoder import (
     PARITY_BITS,
     SHORT_CODEWORD_BITS,
     SHORT_PAYLOAD_BITS,
+    encode,
     encode_lfsr,
     encode_shortened,
 )
@@ -36,6 +40,9 @@ from .decoder import DecodeStatus, decode, decode_shortened
 
 class FrameFileError(Exception):
     """Malformed frame file; message carries file and line context."""
+
+
+_HEX_FRAME = {width: re.compile(f"[0-9a-fA-F]{{{width}}}") for width in (8, 16)}
 
 
 def _frame_width(short: bool) -> int:
@@ -53,21 +60,26 @@ def parse_frame_file(path: str, kind: str, short: bool) -> list[int]:
     width = _frame_width(short)
     bits = _value_bits(kind, short)
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "rb") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    hex_frame = _HEX_FRAME[width]
     frames = []
     for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
+        try:
+            text = raw.decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise FrameFileError(
+                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+            ) from None
         if len(text) != width:
             raise FrameFileError(
                 f"{path}:{lineno}: expected {width} hex digits, got {text!r}"
             )
-        try:
-            value = int(text, 16)
-        except ValueError:
-            raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}") from None
+        if not hex_frame.fullmatch(text):
+            raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
+        value = int(text, 16)
         if value >> bits:
             raise FrameFileError(
                 f"{path}:{lineno}: reserved bits above bit {bits - 1} are set"
@@ -86,8 +98,8 @@ def write_frame_file(path: str, frames, short: bool) -> None:
 
 def _cmd_encode(args) -> int:
     messages = parse_frame_file(args.infile, "message", args.short)
-    encode = encode_shortened if args.short else encode_lfsr
-    write_frame_file(args.outfile, [encode(m) for m in messages], args.short)
+    encoder = encode_shortened if args.short else encode
+    write_frame_file(args.outfile, [encoder(m) for m in messages], args.short)
     return 0
 
 
@@ -159,25 +171,27 @@ def _cmd_tables(args) -> int:
 
 def _cmd_selftest(args) -> int:
     tables = build_tables()
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[str, bool, str, float]] = []
+    start = lap = time.perf_counter()
 
-    start = time.perf_counter()
+    def record(name: str, passed: bool, detail: str) -> None:
+        nonlocal lap
+        now = time.perf_counter()
+        checks.append((name, passed, detail, now - lap))
+        lap = now
+
     mse_bad = sum(
         1 for a in range(64) for b in range(64)
         if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)
     )
-    checks.append((
-        "multiplier equivalence (4096 pairs)",
-        mse_bad == 0,
-        f"{mse_bad} mismatches",
-    ))
+    record("multiplier equivalence (4096 pairs)", mse_bad == 0, f"{mse_bad} mismatches")
 
     table = reference_oracle.build_syndrome_table(tables)
-    checks.append((
+    record(
         "syndrome distinctness (2017 keys)",
         reference_oracle.verify_syndrome_distinctness(table),
         f"{len(table)} entries",
-    ))
+    )
 
     sweep_failures = 0
     sweep_total = 0
@@ -191,31 +205,45 @@ def _cmd_selftest(args) -> int:
             outcome = decode(codeword ^ mask, tables)
             if outcome.status is not DecodeStatus.CORRECTED or outcome.corrected != codeword:
                 sweep_failures += 1
-    checks.append((
+    record(
         f"weight<=2 correction sweep ({sweep_total} decodes)",
         sweep_failures == 0,
         f"{sweep_failures} failures",
-    ))
+    )
+
+    def against_oracle(words) -> tuple[int, int]:
+        """Disagreements with the brute-force oracle, and words decoded as correctable."""
+        bad = correctable = 0
+        for word in words:
+            ours = decode(word, tables)
+            ref = reference_oracle.brute_force_decode(word, table, tables)
+            bad += ours.status is not ref.status or ours.positions != ref.positions
+            correctable += ours.status is not DecodeStatus.UNCORRECTABLE
+        return bad, correctable
 
     rng = channel_sim.SplitMix64(0xD1FF)
-    diff_bad = 0
     trials = 20000
-    for _ in range(trials):
-        word = rng.next_bits(CODEWORD_BITS)
-        ours = decode(word, tables)
-        ref = reference_oracle.brute_force_decode(word, table, tables)
-        if ours.status is not ref.status or ours.positions != ref.positions:
-            diff_bad += 1
-    checks.append((
+    diff_bad, _ = against_oracle(rng.next_bits(CODEWORD_BITS) for _ in range(trials))
+    record(
         f"decoder/oracle differential ({trials} words)",
         diff_bad == 0,
         f"{diff_bad} disagreements",
-    ))
+    )
+
+    # The words below 2^12 are the 4096 remainders mod g(x), one in each
+    # coset of the code, and a decode depends only on the coset.
+    cosets = 1 << PARITY_BITS
+    coset_bad, correctable = against_oracle(range(cosets))
+    record(
+        f"decoder/oracle coset certificate ({cosets} cosets)",
+        coset_bad == 0 and correctable == reference_oracle.TABLE_SIZE,
+        f"{coset_bad} disagreements, {correctable} correctable",
+    )
 
     elapsed = time.perf_counter() - start
     ok = True
-    for name, passed, detail in checks:
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail}")
+    for name, passed, detail, seconds in checks:
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail} ({seconds:.3f}s)")
         ok = ok and passed
     print(f"{'self-test passed' if ok else 'SELF-TEST FAILED'} ({elapsed:.1f}s)")
     return 0 if ok else 1

@@ -15,11 +15,16 @@ alpha and alpha^3 over GF(2^6):
 
 `compute_generator` re-derives it from conjugacy classes; the tests
 require the derivation and the constant to agree.
+
+`encode` computes the parity from byte-indexed tables and is the one the
+CLI uses.  `encode_lfsr` is the paper's bit-serial shift register, and
+`encode_polydiv_oracle` textbook long division; both stay as references
+that `encode` is certified against.
 """
 
 from __future__ import annotations
 
-from .gf64 import GfTables, build_tables, gf2_mul, gf2_mod, gf_mul_table, GROUP_ORDER
+from .gf64 import GfTables, build_tables, byte_tables, gf2_mul, gf2_mod, gf_mul_table, GROUP_ORDER
 
 MESSAGE_BITS = 51
 PARITY_BITS = 12
@@ -35,8 +40,11 @@ GENERATOR_POLY = 0b1010100111001
 # register whenever the feedback bit is 1; equivalent to reducing by g.
 _FEEDBACK = GENERATOR_POLY & ((1 << PARITY_BITS) - 1)
 
-_MESSAGE_MASK = (1 << MESSAGE_BITS) - 1
-_SHORT_PAYLOAD_MASK = (1 << SHORT_PAYLOAD_BITS) - 1
+# The parity is linear in the message bits: message bit i contributes
+# x^(12+i) mod g(x).  One table per message byte adds up those remainders.
+_PARITY_TABLES = byte_tables(
+    [gf2_mod(1 << (PARITY_BITS + i), GENERATOR_POLY) for i in range(MESSAGE_BITS)]
+)
 
 
 def _conjugacy_class(exponent: int) -> set[int]:
@@ -110,6 +118,23 @@ def encode_lfsr(message: int) -> int:
     return (message << PARITY_BITS) | reg
 
 
+def encode(message: int) -> int:
+    """Encode a 51-bit message; the parity comes from seven byte-table lookups.
+
+    The remainder x^12 m(x) mod g(x) is the XOR over the message bytes of
+    each byte's tabulated remainder, so the codeword equals `encode_lfsr`'s
+    bit for bit.
+    """
+    if message >> MESSAGE_BITS:
+        raise ValueError("message exceeds 51 bits")
+    parity = 0
+    rest = message
+    for table in _PARITY_TABLES:
+        parity ^= table[rest & 0xFF]
+        rest >>= 8
+    return (message << PARITY_BITS) | parity
+
+
 def encode_polydiv_oracle(message: int) -> int:
     """Encode by textbook long division: r(x) = x^12 m(x) mod g(x).
 
@@ -133,5 +158,6 @@ def encode_shortened(payload: int) -> int:
     if payload >> SHORT_PAYLOAD_BITS:
         raise ValueError("payload exceeds 19 bits")
     codeword = encode_lfsr(payload)
-    assert codeword >> SHORT_CODEWORD_BITS == 0
+    if codeword >> SHORT_CODEWORD_BITS:
+        raise RuntimeError(f"shortened codeword {codeword:#x} exceeds 31 bits")
     return codeword

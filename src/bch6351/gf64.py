@@ -17,6 +17,7 @@ polynomial has degree -1.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 FIELD_BITS = 6
@@ -135,6 +136,25 @@ def gf2_mod(p: int, q: int) -> int:
     while gf2_degree(p) >= dq:
         p ^= q << (gf2_degree(p) - dq)
     return p
+
+
+def byte_tables(columns: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Lookup tables for a GF(2)-linear map of a word, one table per input byte.
+
+    `columns[i]` is the image of input bit i.  Table k maps a byte value b
+    to the XOR of the images of the bits of b, placed at bits 8k..8k+7, so
+    the image of a word is the XOR of one entry per byte: the table-driven
+    method of CRC computation (Sarwate, "Computation of cyclic redundancy
+    checks via table look-up", CACM 31(8), 1988).  The last table is
+    shorter when len(columns) is not a multiple of 8.
+    """
+    tables = []
+    for k in range(0, len(columns), 8):
+        table = [0]
+        for column in columns[k:k + 8]:
+            table += [v ^ column for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
 
 
 def format_antilog_table(tables: GfTables) -> str:

@@ -6,7 +6,8 @@ Building it with zero key collisions is the operational proof that the
 code's minimum distance is at least 5, i.e. that two-error correction is
 well defined.  Lookup then implements minimum-distance decoding within
 radius 2 exactly, independent of the algebraic decoder: the only shared
-code is the field tables and the definitional syndrome computation.
+code is the field tables and `compute_syndromes`, which the tests check
+against the definitional per-bit sum.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ def build_syndrome_table(tables: GfTables) -> SyndromeTable:
         insert(1 << i)
     for i, j in combinations(range(CODEWORD_BITS), 2):
         insert(1 << i | 1 << j)
-    assert len(table) == TABLE_SIZE
+    if len(table) != TABLE_SIZE:
+        raise ValueError(f"syndrome table has {len(table)} entries, expected {TABLE_SIZE}")
     return table
 
 

@@ -175,9 +175,15 @@ def test_ber_report_invariants(tables):
     assert 0 <= report.post_fec_ber <= report.pre_fec_ber <= 1
 
 
-def test_ber_matches_per_frame_reference(tables):
-    # re-derive a small run frame by frame through the public per-word ops
-    p, frames, seed = 0.03, 400, 314
+@pytest.mark.parametrize("p, frames, seed", [
+    (0.03, 400, 314),
+    (1e-3, 20000, 5),   # ~94% clean frames: the harness skips them
+    (0.1, 3000, 6),     # many uncorrectable and miscorrected frames
+    (0.5, 500, 7),
+])
+def test_ber_matches_per_frame_reference(tables, p, frames, seed):
+    # re-derive a run frame by frame through the public per-word ops,
+    # message and noise drawn for every frame, clean or not
     pre = post = unc = mis = 0
     mask51 = (1 << MESSAGE_BITS) - 1
     for i in range(frames):
@@ -199,6 +205,8 @@ def test_ber_matches_per_frame_reference(tables):
     report = run_ber_experiment(p, frames, seed, tables)
     assert (report.pre_fec_bit_errors, report.post_fec_bit_errors,
             report.uncorrectable_frames, report.miscorrected_frames) == (pre, post, unc, mis)
+    if p >= 0.1:
+        assert unc > 0 and mis > 0
 
 
 def test_ber_weight_le2_frames_never_err(tables):

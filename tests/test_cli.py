@@ -1,10 +1,13 @@
 """CLI behavior: framing, round trips, exit codes, reports."""
 
+import ast
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import bch6351
 from bch6351.channel_sim import SplitMix64
 from bch6351.cli import main, parse_frame_file, write_frame_file
 from bch6351.encoder import MESSAGE_BITS
@@ -110,10 +113,23 @@ def test_shortened_round_trip(tmp_path):
 
 
 def test_parse_error_bad_hex(tmp_path, capsys):
+    # int(text, 16) would take the prefix, sign and underscore forms
+    lines = [
+        b"00000000000000zz",
+        b"0x000000000000ab",
+        b"+00000000000000a",
+        b"-00000000000000a",
+        b"0000_0000000000a",
+        b"0000000000000 0a",
+        "00000000000000\u00e9".encode(),
+        b"\xff000000000000000",
+    ]
     infile = tmp_path / "m.hex"
-    infile.write_text("00000000000000zz\n")
-    assert main(["encode", str(infile), str(tmp_path / "c.hex")]) == 2
-    assert ":1:" in capsys.readouterr().err
+    for line in lines:
+        infile.write_bytes(line + b"\n")
+        assert main(["encode", str(infile), str(tmp_path / "c.hex")]) == 2, line
+        err = capsys.readouterr().err
+        assert f"{infile}:1:" in err and "reserved" not in err, (line, err)
 
 
 def test_parse_error_wrong_width(tmp_path, capsys):
@@ -189,6 +205,28 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "self-test passed" in out
+    assert "PASS  decoder/oracle coset certificate (4096 cosets): 0 disagreements, " \
+           "2017 correctable (" in out
+    checks = [line for line in out.splitlines() if line.startswith("PASS")]
+    assert len(checks) == 5
+    assert all(line.startswith("PASS  ") and line.endswith("s)") for line in checks)
+
+
+def test_no_assert_statements_in_package():
+    # checks must survive python -O, which strips assert statements
+    for path in sorted(pathlib.Path(bch6351.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+def test_selftest_passes_under_optimize_flag():
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "bch6351", "selftest"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "self-test passed" in result.stdout
 
 
 def test_module_entry_point(tmp_path):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from bch6351 import decoder
 from bch6351.channel_sim import SplitMix64
 from bch6351.decoder import (
     DecodeStatus,
@@ -15,9 +16,9 @@ from bch6351.decoder import (
     decode_shortened,
     solve_locator,
 )
-from bch6351.encoder import MESSAGE_BITS, encode_lfsr, encode_shortened
+from bch6351.encoder import MESSAGE_BITS, PARITY_BITS, encode_lfsr, encode_shortened
 from bch6351.gf64 import gf_mul_table, gf_pow
-from bch6351.reference_oracle import brute_force_decode
+from bch6351.reference_oracle import TABLE_SIZE, brute_force_decode
 
 
 def weight_le2_masks(n):
@@ -27,6 +28,25 @@ def weight_le2_masks(n):
 
 
 # --- syndromes ------------------------------------------------------------
+
+def definitional_syndromes(received, tables):
+    """S_i = XOR of alpha^(i*j) over the set bit positions j, bit by bit."""
+    antilog = tables.antilog
+    s1 = s2 = s3 = 0
+    for j in range(63):
+        if received >> j & 1:
+            s1 ^= antilog[j]
+            s2 ^= antilog[2 * j % 63]
+            s3 ^= antilog[3 * j % 63]
+    return (s1, s2, s3)
+
+
+def test_syndromes_equal_definitional_loop(tables):
+    rng = SplitMix64(0x5D)
+    words = [1 << j for j in range(63)] + [rng.next_bits(63) for _ in range(10_000)]
+    for word in words:
+        assert compute_syndromes(word, tables) == definitional_syndromes(word, tables)
+
 
 def test_syndromes_zero_for_codewords(tables):
     rng = SplitMix64(21)
@@ -136,6 +156,39 @@ def test_chien_iterative_equals_direct(tables):
         assert chien_search(loc, 63, tables) == direct_chien(loc, 63, tables)
 
 
+def locator_roots(tables):
+    """Position mask of every nonzero locator's roots, by enumerating the roots.
+
+    Each (u, lambda1, lambda2) with u != 0 names the one locator with
+    lambda0 = lambda1*u + lambda2*u^2 that has u as a root; that root is
+    position (63 - log u) mod 63.  Entry lambda0 | lambda1 << 6 |
+    lambda2 << 12 collects the positions of all of a locator's roots.
+    """
+    product = [gf_mul_table(a, b, tables) for a in range(64) for b in range(64)]
+    roots = [0] * (1 << 18)
+    for j in range(63):
+        u = tables.antilog[j]
+        u_sq = tables.antilog[2 * j % 63]
+        bit = 1 << (63 - j) % 63
+        times_u = product[u::64]
+        times_u_sq = product[u_sq::64]
+        for lambda1 in range(64):
+            linear = times_u[lambda1]
+            key1 = lambda1 << 6
+            for lambda2 in range(64):
+                roots[(linear ^ times_u_sq[lambda2]) | key1 | lambda2 << 12] |= bit
+    return roots
+
+
+@pytest.mark.parametrize("n", [63, 31])
+def test_chien_equals_root_enumeration_on_every_locator(tables, n):
+    roots = locator_roots(tables)
+    cut = (1 << n) - 1
+    for key in range(1, 1 << 18):
+        found = chien_search(ErrorLocator(key & 63, key >> 6 & 63, key >> 12), n, tables)
+        assert sum(1 << p for p in found) == roots[key] & cut, key
+
+
 def test_chien_discards_positions_beyond_n(tables):
     loc = solve_locator(compute_syndromes(1 << 40, tables), tables)
     assert chien_search(loc, 63, tables) == {40}
@@ -185,6 +238,26 @@ def test_decode_all_weight_le2_patterns(tables):
             assert outcome.positions == frozenset(
                 i for i in range(63) if mask >> i & 1
             )
+
+
+def test_decode_raises_when_recheck_fails(tables, monkeypatch):
+    # an explicit check, not an assert, so it also holds under python -O
+    monkeypatch.setattr(decoder, "apply_correction", lambda word, positions: word)
+    with pytest.raises(RuntimeError, match="re-check"):
+        decode(1 << 5, tables)
+
+
+def test_decode_equals_oracle_on_every_coset(tables, syndrome_table):
+    # words 0..4095 are the 4096 remainders mod g(x): one per coset
+    correctable = 0
+    for word in range(1 << PARITY_BITS):
+        outcome = decode(word, tables)
+        reference = brute_force_decode(word, syndrome_table, tables)
+        assert (outcome.status, outcome.positions, outcome.corrected) == \
+            (reference.status, reference.positions, reference.corrected), word
+        correctable += outcome.status is not DecodeStatus.UNCORRECTABLE
+    assert correctable == TABLE_SIZE == 2017
+    assert (1 << PARITY_BITS) - correctable == 2079
 
 
 def test_decode_weight3_bounded_distance_policy(tables, syndrome_table):

@@ -2,12 +2,14 @@
 
 import pytest
 
+from bch6351 import encoder
 from bch6351.channel_sim import SplitMix64
 from bch6351.decoder import compute_syndromes, decode_shortened
 from bch6351.encoder import (
     GENERATOR_POLY,
     MESSAGE_BITS,
     compute_generator,
+    encode,
     encode_lfsr,
     encode_polydiv_oracle,
     encode_shortened,
@@ -81,6 +83,12 @@ def test_lfsr_equals_polydiv_on_random_messages():
         assert encode_lfsr(message) == encode_polydiv_oracle(message)
 
 
+def test_table_encoder_equals_lfsr_and_polydiv():
+    units = [1 << i for i in range(MESSAGE_BITS)]
+    for message in [0] + units + random_messages(10_000, seed=0x7AB1E):
+        assert encode(message) == encode_lfsr(message) == encode_polydiv_oracle(message)
+
+
 def test_systematic_property():
     for message in random_messages(200, seed=5):
         assert encode_lfsr(message) >> 12 == message
@@ -109,6 +117,8 @@ def test_oversized_message_rejected():
         encode_lfsr(1 << MESSAGE_BITS)
     with pytest.raises(ValueError):
         encode_polydiv_oracle(1 << MESSAGE_BITS)
+    with pytest.raises(ValueError):
+        encode(1 << MESSAGE_BITS)
 
 
 def test_shortened_zero_payload():
@@ -138,3 +148,10 @@ def test_shortened_round_trip_clean(tables):
 def test_shortened_oversized_payload_rejected():
     with pytest.raises(ValueError):
         encode_shortened(1 << 19)
+
+
+def test_shortened_width_guard_raises(monkeypatch):
+    # an explicit check, not an assert, so it also holds under python -O
+    monkeypatch.setattr(encoder, "encode_lfsr", lambda payload: 1 << 31)
+    with pytest.raises(RuntimeError, match="31 bits"):
+        encode_shortened(1)
