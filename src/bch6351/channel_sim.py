@@ -10,18 +10,25 @@ floor(p * 2^53), which is integer-exact for any double p.
 Per-frame sub-seeds are successive outputs of the master seed's stream
 (frame i uses sub-seed indices 2i for its message and 2i+1 for its
 channel noise), so frames are independent and results do not depend on
-evaluation order.  The BER harness draws a frame's noise first: a clean
-frame adds nothing to any counter, so it skips the message draw, the
-encode and the decode.
+evaluation order.
+
+The BER harness never draws a message.  The code is linear, so a
+received word c ^ f has the syndromes of its flip mask f alone, and the
+decoder names the same error positions for both; every counter is
+therefore a function of f.  Sub-seed 2i stays reserved for frame i's
+message, so the counters equal those of the explicit encode -> corrupt
+-> decode run with messages drawn from those sub-seeds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .gf64 import GfTables
 from .decoder import DecodeStatus, decode
-from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr
+# encode_lfsr is not called here; bench/run.py traces it as channel_sim.encode_lfsr.
+from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -78,27 +85,55 @@ def substream_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
+@lru_cache(maxsize=8)
+def _lanes(nbits: int) -> tuple[int, int, int, int]:
+    """Constants that run `nbits` SplitMix64 draws side by side in one int.
+
+    Draw j lives in lane j, bits 128j .. 128j+127 of the int: 64 value
+    bits under 64 guard bits (SIMD within a register; Lamport, CACM 18(8),
+    1975).  The guards keep the lanes apart: an addition carries into bit
+    64, a multiply by a 64-bit constant fills all 128 bits, and a right
+    shift moves the low bits of lane j+1 into the top of lane j.  Masking
+    with LOW after each step drops all of that, which reduces every lane
+    mod 2^64 exactly as the scalar generator does.
+
+    Returns (ONES, LOW, HIGH, RAMP): 1, 2^64 - 1 and 2^64 in every lane,
+    and (j+1) * golden mod 2^64 in lane j, so that (seed * ONES + RAMP)
+    & LOW holds the state of draw j of SplitMix64(seed) in lane j.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * nbits, "little")
+    ramp = sum((((j + 1) * _GOLDEN) & _MASK64) << (128 * j) for j in range(nbits))
+    return ones, _MASK64 * ones, ones << 64, ramp
+
+
+# Lane j's byte holding its bit 64 reads 0 where draw j fell below the
+# threshold: that is a set bit of the mask, written '1' for int(·, 2).
+_SET_IF_ZERO = bytes.maketrans(b"\x00\x01", b"10")
+
+
 def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     """Mask with each of `nbits` bits set independently with probability p.
 
     Bit j uses the j-th draw of SplitMix64(seed); the draw's top 53 bits
     are compared against floor(p * 2^53), which represents p exactly.
+    All `nbits` draws run at once, one per 128-bit lane (see `_lanes`).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("probability must be in [0, 1]")
-    # Finalizer inlined: this sits on the BER harness's per-bit hot path.
+    if nbits <= 0:
+        return 0
     threshold = int(p * 9007199254740992.0) << 11  # p * 2^53, exact
-    state = seed & _MASK64
-    mask = 0
-    bit = 1
-    for _ in range(nbits):
-        state = (state + _GOLDEN) & _MASK64
-        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        if (z ^ (z >> 31)) < threshold:
-            mask |= bit
-        bit <<= 1
-    return mask
+    ones, low, high, ramp = _lanes(nbits)
+    x = ((seed & _MASK64) * ones + ramp) & low
+    x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low
+    # Each lane is now 2^64 + draw - threshold, at least 0 because the
+    # threshold is at most 2^64, so no borrow leaves a lane and bit 64 is
+    # clear exactly where draw < threshold.  The bits x >> 31 brings in
+    # from the next lane sit above bit 96 and are never read.
+    x = ((x ^ (x >> 31)) | high) - threshold * ones
+    # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
+    return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
 @dataclass(frozen=True)
@@ -205,9 +240,15 @@ def bsc_corrupt(codeword: int, cfg: BscConfig) -> int:
 def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> BerReport:
     """Measure pre/post-FEC error rates over `frames` random frames.
 
-    Frame i: draw the BSC's flip mask from sub-seed 2i+1; unless it is
-    zero, draw a 51-bit message from sub-seed 2i, encode, corrupt, decode,
-    and compare message bits.
+    Frame i sends a 51-bit message drawn from sub-seed 2i, encoded, over
+    the BSC with the flip mask f drawn from sub-seed 2i+1.  Decoding is
+    linear: decode(c ^ f) and decode(f) see the same syndromes and name
+    the same estimated error ê, so the delivered message differs from the
+    sent one by ((f ^ ê) >> 12) & mask, the message bits of
+    decode(f).corrected, or by (f >> 12) & mask when the frame is
+    UNCORRECTABLE.  Neither depends on the message, so it is never drawn
+    or encoded, and a clean frame (f = 0) is skipped.  The counters equal
+    those of the explicit encode -> corrupt -> decode run.
     Identical (p, frames, seed) always produce an identical report, in
     any evaluation order.
     """
@@ -218,23 +259,20 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
     for i in range(frames):
         flips = bernoulli_mask(p, substream_seed(seed, 2 * i + 1), CODEWORD_BITS)
         if flips == 0:
-            # A clean word always decodes NO_ERROR with the message intact,
-            # so the frame contributes nothing to any counter.
             continue
-        message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
-        received = encode_lfsr(message) ^ flips
-        outcome = decode(received, tables)
+        outcome = decode(flips, tables)
+        errors = (flips >> PARITY_BITS) & message_mask
+        pre_fec += errors.bit_count()
         if outcome.status is DecodeStatus.UNCORRECTABLE:
-            delivered = (received >> PARITY_BITS) & message_mask
-        else:
-            delivered = (outcome.corrected >> PARITY_BITS) & message_mask
-
-        pre_fec += ((flips >> PARITY_BITS) & message_mask).bit_count()
-        post_fec += (delivered ^ message).bit_count()
-        if delivered != message:
-            if outcome.status is DecodeStatus.UNCORRECTABLE:
+            # The received message bits are delivered unrepaired.
+            if errors:
+                post_fec += errors.bit_count()
                 uncorrectable += 1
-            else:
+        else:
+            # outcome.corrected is f ^ ê, the error left after decoding.
+            residual = (outcome.corrected >> PARITY_BITS) & message_mask
+            if residual:
+                post_fec += residual.bit_count()
                 miscorrected += 1
     return BerReport(
         p=p,

@@ -22,7 +22,6 @@ syndromes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -48,8 +47,7 @@ class DecodeStatus(Enum):
     UNCORRECTABLE = "uncorrectable"
 
 
-@dataclass(frozen=True)
-class DecodeOutcome:
+class DecodeOutcome(NamedTuple):
     """Result of one decode.
 
     `positions` is nonempty only for CORRECTED.  `corrected` is the

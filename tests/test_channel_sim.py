@@ -1,6 +1,7 @@
 """Channel simulator: determinism, distributions, and the BER harness."""
 
 import math
+import random
 
 import pytest
 
@@ -62,6 +63,18 @@ def test_substream_seed_is_stream_output():
     rng = SplitMix64(seed)
     for index in range(8):
         assert substream_seed(seed, index) == rng.next_u64()
+
+
+def reference_mask(p, seed, nbits):
+    """The definitional mask: bit j set when draw j of SplitMix64(seed),
+    one draw per bit, falls below floor(p * 2^53) << 11."""
+    threshold = int(p * 2.0 ** 53) << 11
+    rng = SplitMix64(seed)
+    mask = 0
+    for j in range(nbits):
+        if rng.next_u64() < threshold:
+            mask |= 1 << j
+    return mask
 
 
 # --- error patterns -------------------------------------------------------
@@ -136,8 +149,23 @@ def test_bsc_determinism():
 def test_bsc_config_validation():
     with pytest.raises(ValueError):
         BscConfig(1.5, 0)
-    with pytest.raises(ValueError):
-        bernoulli_mask(-0.1, 0, 63)
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            bernoulli_mask(p, 0, 63)
+
+
+def test_bernoulli_mask_equals_definitional_loop():
+    # the lane-parallel mask against one SplitMix64 draw per bit, across
+    # the threshold's extremes, lane counts below, at and above 63, and
+    # seeds that exercise reduction mod 2^64
+    rng = random.Random(20261018)
+    seeds = [0, 2**64 - 1, 2**64 + 5, -1] + [rng.getrandbits(64) for _ in range(500)]
+    probabilities = (0.0, 5e-324, 2.0 ** -53, 1e-3, 0.1, 0.5, 1 - 2.0 ** -53, 1.0)
+    for p in probabilities:
+        for nbits in (0, 1, 31, 63, 64, 130):
+            for seed in seeds:
+                assert bernoulli_mask(p, seed, nbits) == reference_mask(p, seed, nbits), \
+                    (p, seed, nbits)
 
 
 def test_bsc_mean_flips_at_half():

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import bch6351
-from bch6351.channel_sim import SplitMix64
+from bch6351.channel_sim import SplitMix64, substream_seed
 from bch6351.cli import main, parse_frame_file, write_frame_file
 from bch6351.encoder import MESSAGE_BITS
+from test_channel_sim import reference_mask
 
 
 def write_messages(path, messages, short=False):
@@ -62,13 +63,21 @@ def test_pipeline_with_weight2_corruption(tmp_path):
 
 
 def test_corrupt_determinism(tmp_path):
+    # --bsc output is deterministic, and frame i is flipped by the
+    # definitional mask drawn from sub-seed i of --seed
     infile = tmp_path / "c.hex"
     out1, out2 = tmp_path / "r1.hex", tmp_path / "r2.hex"
-    write_messages(infile, random_messages(20, seed=3, bits=63))
-    for out in (out1, out2):
-        assert main(["corrupt", "--bsc", "0.1", "--seed", "11",
-                     str(infile), str(out)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    for flags, bits in (([], 63), (["--short"], 31)):
+        words = random_messages(20, seed=3, bits=bits)
+        write_messages(infile, words, short=bool(flags))
+        for out in (out1, out2):
+            assert main(["corrupt", *flags, "--bsc", "0.1", "--seed", "11",
+                         str(infile), str(out)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        received = [int(line, 16) for line in out1.read_text().splitlines()]
+        assert received == [word ^ reference_mask(0.1, substream_seed(11, i), bits)
+                            for i, word in enumerate(words)]
+        assert received != words
 
 
 def test_uncorrectable_frames_and_sentinel(tmp_path):
