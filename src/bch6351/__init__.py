@@ -9,11 +9,8 @@ decoding oracle.  See the individual modules for the bit conventions.
 from .gf64 import (
     GfTables,
     build_tables,
-    gf_add,
-    gf_inv,
     gf_mul_mse,
     gf_mul_table,
-    gf_pow,
 )
 from .encoder import (
     CODEWORD_BITS,
@@ -42,11 +39,7 @@ from .decoder import (
 )
 from .channel_sim import (
     BerReport,
-    BscConfig,
-    ErrorPattern,
     SplitMix64,
-    bsc_corrupt,
-    inject_errors,
     random_error_pattern,
     run_ber_experiment,
     substream_seed,

@@ -22,7 +22,7 @@ message, so the counters equal those of the explicit encode -> corrupt
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .gf64 import GfTables
@@ -53,10 +53,6 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state = (self.state + _GOLDEN) & _MASK64
         return mix64(self.state)
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * (2.0 ** -53)
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in 0..bound-1, modulo bias removed by rejection."""
@@ -136,31 +132,6 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
-@dataclass(frozen=True)
-class ErrorPattern:
-    """A 63-bit error mask; `weight` is its population count."""
-
-    mask: int
-    weight: int = field(init=False)
-
-    def __post_init__(self):
-        if self.mask >> CODEWORD_BITS:
-            raise ValueError("error mask exceeds 63 bits")
-        object.__setattr__(self, "weight", self.mask.bit_count())
-
-
-@dataclass(frozen=True)
-class BscConfig:
-    """Binary symmetric channel: crossover probability and stream seed."""
-
-    p: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("crossover probability must be in [0, 1]")
-
-
 @dataclass
 class BerReport:
     """Counters from one encode -> corrupt -> decode run.
@@ -210,13 +181,8 @@ class BerReport:
         ])
 
 
-def inject_errors(codeword: int, pattern: ErrorPattern) -> int:
-    """Received word = codeword XOR error mask."""
-    return codeword ^ pattern.mask
-
-
-def random_error_pattern(weight: int, n: int, seed: int) -> ErrorPattern:
-    """Uniformly random pattern of `weight` distinct positions in 0..n-1.
+def random_error_pattern(weight: int, n: int, seed: int) -> int:
+    """Mask of `weight` distinct positions drawn uniformly from 0..n-1.
 
     Partial Fisher-Yates over the position list; same seed, same pattern.
     """
@@ -229,12 +195,7 @@ def random_error_pattern(weight: int, n: int, seed: int) -> ErrorPattern:
         j = i + rng.next_below(n - i)
         slots[i], slots[j] = slots[j], slots[i]
         mask |= 1 << slots[i]
-    return ErrorPattern(mask)
-
-
-def bsc_corrupt(codeword: int, cfg: BscConfig) -> int:
-    """Flip each of the 63 bits independently with probability cfg.p."""
-    return codeword ^ bernoulli_mask(cfg.p, cfg.seed, CODEWORD_BITS)
+    return mask
 
 
 def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> BerReport:

@@ -17,9 +17,9 @@ alpha and alpha^3 over GF(2^6):
 require the derivation and the constant to agree.
 
 `encode` computes the parity from byte-indexed tables and is the one the
-CLI uses.  `encode_lfsr` is the paper's bit-serial shift register, and
-`encode_polydiv_oracle` textbook long division; both stay as references
-that `encode` is certified against.
+CLI and `encode_shortened` use.  `encode_lfsr` is the paper's bit-serial
+shift register, and `encode_polydiv_oracle` textbook long division; both
+stay as references that `encode` is certified against.
 """
 
 from __future__ import annotations
@@ -157,7 +157,7 @@ def encode_shortened(payload: int) -> int:
     """
     if payload >> SHORT_PAYLOAD_BITS:
         raise ValueError("payload exceeds 19 bits")
-    codeword = encode_lfsr(payload)
+    codeword = encode(payload)
     if codeword >> SHORT_CODEWORD_BITS:
         raise RuntimeError(f"shortened codeword {codeword:#x} exceeds 31 bits")
     return codeword

@@ -2,8 +2,9 @@
 
 A field element is an int in 0..63 in polynomial-basis representation:
 bit i of the value is the coefficient of alpha^i, where alpha is a root
-of the primitive polynomial (so alpha^6 = alpha + 1).  Value 0 is the
-additive identity, value 1 is the multiplicative identity.
+of the primitive polynomial (so alpha^6 = alpha + 1).  Field addition is
+XOR of the ints.  Value 0 is the additive identity, value 1 is the
+multiplicative identity.
 
 Two independent multipliers are provided: a log/antilog table multiplier
 and a combinational one built from fixed partial-product expressions
@@ -20,7 +21,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-FIELD_BITS = 6
 FIELD_SIZE = 64
 GROUP_ORDER = 63  # order of the multiplicative group
 
@@ -59,11 +59,6 @@ def build_tables() -> GfTables:
     return GfTables(tuple(antilog), tuple(log))
 
 
-def gf_add(a: int, b: int) -> int:
-    """Field addition: coefficient-wise XOR."""
-    return a ^ b
-
-
 def gf_mul_table(a: int, b: int, tables: GfTables) -> int:
     """Field multiplication via the log/antilog tables."""
     if a == 0 or b == 0:
@@ -89,25 +84,6 @@ def gf_mul_mse(a: int, b: int) -> int:
     y4 = (a0 & b4) ^ (a1 & b3) ^ (a2 & b2) ^ (a3 & b1) ^ (a4 & (b0 ^ b5)) ^ (a5 & (b4 ^ b5))
     y5 = (a0 & b5) ^ (a1 & b4) ^ (a2 & b3) ^ (a3 & b2) ^ (a4 & b1) ^ (a5 & (b0 ^ b5))
     return y0 | y1 << 1 | y2 << 2 | y3 << 3 | y4 << 4 | y5 << 5
-
-
-def gf_pow(a: int, e: int, tables: GfTables) -> int:
-    """a**e with the exponent reduced mod 63 for nonzero a.
-
-    0**e is 0 for e > 0; a zero base with e <= 0 has no value and raises.
-    """
-    if a == 0:
-        if e <= 0:
-            raise ValueError("zero base with non-positive exponent")
-        return 0
-    return tables.antilog[(tables.log[a] * e) % GROUP_ORDER]
-
-
-def gf_inv(a: int, tables: GfTables) -> int:
-    """Multiplicative inverse of a nonzero element."""
-    if a == 0:
-        raise ValueError("zero has no multiplicative inverse")
-    return tables.antilog[(GROUP_ORDER - tables.log[a]) % GROUP_ORDER]
 
 
 # --- binary (GF(2)) polynomial helpers -----------------------------------

@@ -7,12 +7,8 @@ import pytest
 
 from bch6351.channel_sim import (
     BerReport,
-    BscConfig,
-    ErrorPattern,
     SplitMix64,
     bernoulli_mask,
-    bsc_corrupt,
-    inject_errors,
     random_error_pattern,
     run_ber_experiment,
     substream_seed,
@@ -35,12 +31,6 @@ def test_splitmix64_determinism():
     a = SplitMix64(12345)
     b = SplitMix64(12345)
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
-
-
-def test_next_float_range():
-    rng = SplitMix64(9)
-    for _ in range(1000):
-        assert 0.0 <= rng.next_float() < 1.0
 
 
 def test_next_below_range_and_error():
@@ -79,34 +69,29 @@ def reference_mask(p, seed, nbits):
 
 # --- error patterns -------------------------------------------------------
 
-def test_inject_errors_identity_and_involution():
-    codeword = encode_lfsr(0x155555555555)
-    assert inject_errors(codeword, ErrorPattern(0)) == codeword
-    pattern = ErrorPattern(1 << 2 | 1 << 5)
-    assert inject_errors(inject_errors(codeword, pattern), pattern) == codeword
-    assert inject_errors(0, pattern) == 0b100100
-
-
 def test_error_pattern_weight():
-    assert ErrorPattern(0).weight == 0
-    assert ErrorPattern(0b101101).weight == 4
-    with pytest.raises(ValueError):
-        ErrorPattern(1 << 63)
+    # the mask has exactly `weight` set bits, all below n, at every weight
+    for n in (31, 63):
+        for weight in range(n + 1):
+            mask = random_error_pattern(weight, n, seed=weight)
+            assert mask.bit_count() == weight
+            assert mask >> n == 0
+    assert random_error_pattern(63, 63, 1) == (1 << 63) - 1
 
 
 def test_random_pattern_weight_zero():
-    assert random_error_pattern(0, 63, 5).mask == 0
+    assert random_error_pattern(0, 63, 5) == 0
 
 
 def test_random_pattern_determinism_and_bounds():
     first = random_error_pattern(2, 63, seed=123)
     second = random_error_pattern(2, 63, seed=123)
     assert first == second
-    assert first.weight == 2
+    assert first.bit_count() == 2
     for seed in range(200):
-        pattern = random_error_pattern(5, 31, seed)
-        assert pattern.weight == 5
-        assert pattern.mask < (1 << 31)
+        mask = random_error_pattern(5, 31, seed)
+        assert mask.bit_count() == 5
+        assert mask < (1 << 31)
 
 
 def test_random_pattern_domain_errors():
@@ -124,7 +109,7 @@ def test_random_pattern_weight1_uniformity():
     draws = 10_000
     counts = [0] * 63
     for i in range(draws):
-        mask = random_error_pattern(1, 63, substream_seed(0xC0FFEE, i)).mask
+        mask = random_error_pattern(1, 63, substream_seed(0xC0FFEE, i))
         counts[mask.bit_length() - 1] += 1
     mean = draws / 63
     sigma = math.sqrt(draws * (1 / 63) * (62 / 63))
@@ -135,20 +120,17 @@ def test_random_pattern_weight1_uniformity():
 # --- binary symmetric channel ----------------------------------------------
 
 def test_bsc_p0_and_p1():
-    codeword = encode_lfsr(0xABCDEF)
-    assert bsc_corrupt(codeword, BscConfig(0.0, 99)) == codeword
-    assert bsc_corrupt(codeword, BscConfig(1.0, 99)) == codeword ^ ((1 << 63) - 1)
+    for nbits in (31, 63):
+        assert bernoulli_mask(0.0, 99, nbits) == 0
+        assert bernoulli_mask(1.0, 99, nbits) == (1 << nbits) - 1
 
 
 def test_bsc_determinism():
-    codeword = encode_lfsr(0x31415926535)
-    assert bsc_corrupt(codeword, BscConfig(0.25, 7)) == \
-        bsc_corrupt(codeword, BscConfig(0.25, 7))
+    assert bernoulli_mask(0.25, 7, 63) == bernoulli_mask(0.25, 7, 63)
+    assert bernoulli_mask(0.25, 7, 63) != bernoulli_mask(0.25, 8, 63)
 
 
 def test_bsc_config_validation():
-    with pytest.raises(ValueError):
-        BscConfig(1.5, 0)
     for p in (-0.1, 1.5, math.nan):
         with pytest.raises(ValueError):
             bernoulli_mask(p, 0, 63)
@@ -217,7 +199,7 @@ def test_ber_matches_per_frame_reference(tables, p, frames, seed):
     for i in range(frames):
         message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
         codeword = encode_lfsr(message)
-        received = bsc_corrupt(codeword, BscConfig(p, substream_seed(seed, 2 * i + 1)))
+        received = codeword ^ bernoulli_mask(p, substream_seed(seed, 2 * i + 1), 63)
         outcome = decode(received, tables)
         if outcome.status is DecodeStatus.UNCORRECTABLE:
             delivered = (received >> 12) & mask51

@@ -162,6 +162,25 @@ def test_missing_input_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["encode", "{words}", "{out}"],
+    ["decode", "{words}", "{out}"],
+    ["corrupt", "--weight", "1", "--seed", "3", "{words}", "{out}"],
+    ["decode", "--report", "{out}", "{words}", "{ok}"],
+    ["ber", "--p", "0.01", "--frames", "10", "--seed", "1", "--csv", "{out}"],
+], ids=["encode", "decode", "corrupt", "decode-report", "ber-csv"])
+def test_unwritable_output_exit_code(tmp_path, capsys, command):
+    # a file error is exit 2, like a parse error; exit 1 means an
+    # uncorrectable frame
+    words = tmp_path / "w.hex"
+    write_messages(words, [0, 1])
+    out = tmp_path / "missing-dir" / "o.txt"
+    paths = {"words": words, "out": out, "ok": tmp_path / "ok.hex"}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["decode"])  # missing positionals
@@ -214,11 +233,17 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "self-test passed" in out
+    checks = [line for line in out.splitlines() if line.startswith("PASS")]
+    assert [line.split(":")[0] for line in checks] == [
+        "PASS  multiplier equivalence (4096 pairs)",
+        "PASS  syndrome certificate (1912 single-byte words)",
+        "PASS  encoder certificate (1537 single-byte messages)",
+        "PASS  syndrome distinctness (2017 keys)",
+        "PASS  decoder/oracle coset certificate (4096 cosets)",
+    ]
     assert "PASS  decoder/oracle coset certificate (4096 cosets): 0 disagreements, " \
            "2017 correctable (" in out
-    checks = [line for line in out.splitlines() if line.startswith("PASS")]
-    assert len(checks) == 5
-    assert all(line.startswith("PASS  ") and line.endswith("s)") for line in checks)
+    assert all(line.endswith("s)") for line in checks)
 
 
 def test_no_assert_statements_in_package():
@@ -227,6 +252,28 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         asserts = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert asserts == [], f"{path.name}: assert at lines {asserts}"
+
+
+def test_no_unused_imports_in_package():
+    # __init__.py re-exports what it imports; elsewhere an imported name
+    # must be read, or its line must be marked "# noqa: F401"
+    for path in sorted(pathlib.Path(bch6351.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines), filename=str(path))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append((alias.lineno, name))
+        assert unused == [], f"{path.name}: unused imports {unused}"
 
 
 def test_selftest_passes_under_optimize_flag():

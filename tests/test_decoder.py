@@ -17,7 +17,7 @@ from bch6351.decoder import (
     solve_locator,
 )
 from bch6351.encoder import MESSAGE_BITS, PARITY_BITS, encode_lfsr, encode_shortened
-from bch6351.gf64 import gf_mul_table, gf_pow
+from bch6351.gf64 import gf_mul_table
 from bch6351.reference_oracle import TABLE_SIZE, brute_force_decode
 
 
@@ -116,13 +116,12 @@ def test_locator_lambda1_is_lambda0_squared(tables):
 # --- Chien search ---------------------------------------------------------
 
 def direct_chien(locator, n, tables):
-    """Independent evaluation with gf_pow at every point."""
-    alpha = tables.antilog[1]
+    """Independent evaluation of the locator at every point alpha^j."""
     positions = set()
     for j in range(63):
         value = locator.lambda0
-        value ^= gf_mul_table(locator.lambda1, gf_pow(alpha, j, tables), tables)
-        value ^= gf_mul_table(locator.lambda2, gf_pow(alpha, 2 * j, tables), tables)
+        value ^= gf_mul_table(locator.lambda1, tables.antilog[j % 63], tables)
+        value ^= gf_mul_table(locator.lambda2, tables.antilog[2 * j % 63], tables)
         if value == 0 and (63 - j) % 63 < n:
             positions.add((63 - j) % 63)
     return positions

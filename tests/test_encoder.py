@@ -152,6 +152,6 @@ def test_shortened_oversized_payload_rejected():
 
 def test_shortened_width_guard_raises(monkeypatch):
     # an explicit check, not an assert, so it also holds under python -O
-    monkeypatch.setattr(encoder, "encode_lfsr", lambda payload: 1 << 31)
+    monkeypatch.setattr(encoder, "encode", lambda payload: 1 << 31)
     with pytest.raises(RuntimeError, match="31 bits"):
         encode_shortened(1)

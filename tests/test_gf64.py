@@ -10,11 +10,8 @@ from bch6351.gf64 import (
     gf2_degree,
     gf2_mod,
     gf2_mul,
-    gf_add,
-    gf_inv,
     gf_mul_mse,
     gf_mul_table,
-    gf_pow,
 )
 
 ALL = range(64)
@@ -48,19 +45,6 @@ def test_log_inverts_antilog(tables):
 def test_log_zero_sentinel(tables):
     assert tables.log[0] == LOG_ZERO
     assert not 0 <= LOG_ZERO <= 62
-
-
-def test_add_identity_and_self_cancel():
-    for x in ALL:
-        assert gf_add(0, x) == x
-        assert gf_add(x, x) == 0
-    assert gf_add(0b000011, 0b000101) == 0b000110
-
-
-def test_add_closure():
-    for a in ALL:
-        for b in ALL:
-            assert 0 <= gf_add(a, b) <= 63
 
 
 def test_mul_identity_and_annihilator(tables):
@@ -114,57 +98,58 @@ def test_mse_identity_and_reduction_anchor():
     assert gf_mul_mse(0b000010, 0b100000) == 0b000011
 
 
-def test_pow_group_order(tables):
-    alpha = tables.antilog[1]
-    # oracle: 63 explicit multiplications
+def alpha_power(k, tables):
+    """alpha^k by k explicit multiplications, no exponent arithmetic."""
     acc = 1
-    for _ in range(63):
-        acc = gf_mul_table(acc, alpha, tables)
-    assert acc == 1
-    assert gf_pow(alpha, 63, tables) == 1
+    for _ in range(k):
+        acc = gf_mul_table(acc, tables.antilog[1], tables)
+    return acc
+
+
+def test_pow_group_order(tables):
+    assert alpha_power(63, tables) == 1
+    # every nonzero a satisfies a^63 = 1, by 63 explicit multiplications
     for a in NONZERO:
-        assert gf_pow(a, 63, tables) == 1
+        acc = 1
+        for _ in range(63):
+            acc = gf_mul_table(acc, a, tables)
+        assert acc == 1
 
 
 def test_pow_basics(tables):
-    for x in NONZERO:
-        assert gf_pow(x, 0, tables) == 1
-        assert gf_pow(x, 1, tables) == x
-    assert gf_pow(tables.antilog[1], 6, tables) == 0b000011
-    # large exponents reduce mod 63 (syndrome terms reach alpha^186)
-    assert gf_pow(tables.antilog[1], 124, tables) == tables.antilog[124 % 63]
-    assert gf_pow(tables.antilog[1], 186, tables) == tables.antilog[186 % 63]
-    assert gf_pow(0, 5, tables) == 0
+    assert alpha_power(0, tables) == 1
+    assert alpha_power(6, tables) == 0b000011
+    # exponents reduce mod 63 (syndrome terms reach alpha^186)
+    for k in (62, 63, 64, 124, 126, 186):
+        assert alpha_power(k, tables) == tables.antilog[k % 63], k
 
 
 def test_pow_negative_exponent_is_inverse(tables):
-    for a in NONZERO:
-        assert gf_pow(a, -1, tables) == gf_inv(a, tables)
-
-
-def test_pow_zero_base_domain_errors(tables):
-    with pytest.raises(ValueError):
-        gf_pow(0, 0, tables)
-    with pytest.raises(ValueError):
-        gf_pow(0, -2, tables)
+    # alpha^(-e) is antilog[-e mod 63] for any integer e, the exponent
+    # arithmetic the root finder uses for reciprocal positions
+    for e in range(-200, 200):
+        inverse = tables.antilog[-e % GROUP_ORDER]
+        assert gf_mul_table(tables.antilog[e % GROUP_ORDER], inverse, tables) == 1, e
 
 
 def test_inv_by_exhaustive_search(tables):
-    alpha = tables.antilog[1]
-    matches = [b for b in NONZERO if gf_mul_table(alpha, b, tables) == 1]
-    assert matches == [gf_inv(alpha, tables)]
-    assert gf_inv(alpha, tables) == tables.antilog[62]
-    assert gf_inv(1, tables) == 1
-
-
-def test_inv_all_nonzero(tables):
-    for a in NONZERO:
-        assert gf_mul_table(a, gf_inv(a, tables), tables) == 1
+    # every nonzero element has exactly one inverse among all 64 elements
+    inverses = {a: [b for b in ALL if gf_mul_table(a, b, tables) == 1] for a in NONZERO}
+    assert all(len(inverses[a]) == 1 for a in NONZERO)
+    assert inverses[tables.antilog[1]] == [tables.antilog[62]]
+    assert inverses[1] == [1]
 
 
 def test_inv_of_zero_raises(tables):
-    with pytest.raises(ValueError):
-        gf_inv(0, tables)
+    # zero has no inverse: no product with it is 1
+    assert all(gf_mul_table(0, b, tables) != 1 for b in ALL)
+
+
+def test_inv_all_nonzero(tables):
+    # the log-table inverse antilog[(63 - log a) mod 63]
+    for a in NONZERO:
+        inverse = tables.antilog[(GROUP_ORDER - tables.log[a]) % GROUP_ORDER]
+        assert gf_mul_table(a, inverse, tables) == 1
 
 
 def test_tables_rebuild_identical(tables):
