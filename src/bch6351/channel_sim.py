@@ -22,8 +22,8 @@ message, so the counters equal those of the explicit encode -> corrupt
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .gf64 import GfTables
 from .decoder import DecodeStatus, decode
@@ -56,8 +56,9 @@ class SplitMix64:
 
     def next_below(self, bound: int) -> int:
         """Uniform integer in 0..bound-1, modulo bias removed by rejection."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        # Above 2^64 the rejection threshold below would be 0: no draw passes.
+        if not 0 < bound <= 1 << 64:
+            raise ValueError("bound must be in 1..2^64")
         threshold = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()
@@ -82,7 +83,7 @@ def substream_seed(seed: int, index: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _lanes(nbits: int) -> tuple[int, int, int, int]:
+def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int, int]:
     """Constants that run `nbits` SplitMix64 draws side by side in one int.
 
     Draw j lives in lane j, bits 128j .. 128j+127 of the int: 64 value
@@ -93,13 +94,13 @@ def _lanes(nbits: int) -> tuple[int, int, int, int]:
     with LOW after each step drops all of that, which reduces every lane
     mod 2^64 exactly as the scalar generator does.
 
-    Returns (ONES, LOW, HIGH, RAMP): 1, 2^64 - 1 and 2^64 in every lane,
-    and (j+1) * golden mod 2^64 in lane j, so that (seed * ONES + RAMP)
-    & LOW holds the state of draw j of SplitMix64(seed) in lane j.
+    Returns (ONES, LOW, HIGH, RAMP, THRESHOLDS): 1, 2^64 - 1, 2^64 and
+    `threshold` in every lane, and RAMP's (j+1) * golden mod 2^64 in lane
+    j, so (seed * ONES + RAMP) & LOW is SplitMix64(seed)'s j-th state.
     """
     ones = int.from_bytes((b"\x01" + bytes(15)) * nbits, "little")
     ramp = sum((((j + 1) * _GOLDEN) & _MASK64) << (128 * j) for j in range(nbits))
-    return ones, _MASK64 * ones, ones << 64, ramp
+    return ones, _MASK64 * ones, ones << 64, ramp, threshold * ones
 
 
 # Lane j's byte holding its bit 64 reads 0 where draw j fell below the
@@ -119,7 +120,7 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     if nbits <= 0:
         return 0
     threshold = int(p * 9007199254740992.0) << 11  # p * 2^53, exact
-    ones, low, high, ramp = _lanes(nbits)
+    ones, low, high, ramp, thresholds = _lanes(nbits, threshold)
     x = ((seed & _MASK64) * ones + ramp) & low
     x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
     x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low
@@ -127,13 +128,12 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     # threshold is at most 2^64, so no borrow leaves a lane and bit 64 is
     # clear exactly where draw < threshold.  The bits x >> 31 brings in
     # from the next lane sit above bit 96 and are never read.
-    x = ((x ^ (x >> 31)) | high) - threshold * ones
+    x = ((x ^ (x >> 31)) | high) - thresholds
     # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
-@dataclass
-class BerReport:
+class BerReport(NamedTuple):
     """Counters from one encode -> corrupt -> decode run.
 
     Bit-error counts cover message bits only (51 per frame); parity bits
@@ -144,11 +144,11 @@ class BerReport:
 
     p: float
     seed: int
-    frames: int = 0
-    pre_fec_bit_errors: int = 0
-    post_fec_bit_errors: int = 0
-    uncorrectable_frames: int = 0
-    miscorrected_frames: int = 0
+    frames: int
+    pre_fec_bit_errors: int
+    post_fec_bit_errors: int
+    uncorrectable_frames: int
+    miscorrected_frames: int
 
     @property
     def frame_errors(self) -> int:

@@ -114,11 +114,11 @@ def solve_locator(syndromes: SyndromeSet, tables: GfTables) -> ErrorLocator:
     )
 
 
-def chien_search(locator: ErrorLocator, n: int, tables: GfTables) -> set[int]:
+def chien_search(locator: ErrorLocator, tables: GfTables) -> set[int]:
     """Error positions from the nonzero roots u of lambda0 + lambda1*u + lambda2*u^2.
 
     A root u = alpha^j names position (63 - j) mod 63, the reciprocal
-    exponent; positions >= n are dropped (shortened use passes n = 31).
+    exponent; `decode_shortened` itself rejects the positions >= 31.
     The roots come in closed form, with exponents taken mod 63:
       - lambda2 = 0: the single root u = lambda0 / lambda1, if both are
         nonzero;
@@ -155,7 +155,7 @@ def chien_search(locator: ErrorLocator, n: int, tables: GfTables) -> set[int]:
             return set()
         scale = log[l1] - log[l2]
         exponents = (scale + log[y], scale + log[y ^ 1])
-    return {p for p in (-e % GROUP_ORDER for e in exponents) if p < n}
+    return {-e % GROUP_ORDER for e in exponents}
 
 
 def apply_correction(received: int, positions) -> int:
@@ -188,7 +188,7 @@ def decode(received: int, tables: GfTables) -> DecodeOutcome:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     locator = solve_locator(syndromes, tables)
     degree = 2 if locator.lambda2 else 1
-    positions = chien_search(locator, CODEWORD_BITS, tables)
+    positions = chien_search(locator, tables)
     if len(positions) != degree:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     corrected = apply_correction(received, positions)

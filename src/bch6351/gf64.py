@@ -19,7 +19,7 @@ polynomial has degree -1.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 FIELD_SIZE = 64
 GROUP_ORDER = 63  # order of the multiplicative group
@@ -32,8 +32,7 @@ PRIMITIVE_POLY = 0b1000011
 LOG_ZERO = -1
 
 
-@dataclass(frozen=True)
-class GfTables:
+class GfTables(NamedTuple):
     """Log/antilog tables: antilog[k] = alpha^k, log[antilog[k]] = k."""
 
     antilog: tuple[int, ...]  # 63 entries, a bijection onto the nonzero elements

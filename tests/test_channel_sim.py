@@ -39,6 +39,10 @@ def test_next_below_range_and_error():
         assert 0 <= rng.next_below(63) < 63
     with pytest.raises(ValueError):
         rng.next_below(0)
+    # above 2^64 no draw could pass the rejection test
+    with pytest.raises(ValueError):
+        rng.next_below(2**64 + 1)
+    assert SplitMix64(12).next_below(2**64) == SplitMix64(12).next_u64()
 
 
 def test_next_bits_width():
@@ -254,3 +258,6 @@ def test_csv_format(tables):
     assert int(fields[2]) == 8
     assert int(fields[6]) == report.uncorrectable_frames
     assert int(fields[7]) == report.miscorrected_frames
+    # every counter comes from run_ber_experiment; none has a default
+    with pytest.raises(TypeError):
+        BerReport(0.01, 8)

@@ -1,6 +1,7 @@
 """CLI behavior: framing, round trips, exit codes, reports."""
 
 import ast
+import os
 import pathlib
 import subprocess
 import sys
@@ -274,6 +275,19 @@ def test_no_unused_imports_in_package():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((alias.lineno, name))
         assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # dataclasses pulls in inspect, a large share of every command's start-up;
+    # -S keeps the interpreter's own site imports out of the check
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bch6351.cli; print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_selftest_passes_under_optimize_flag():

@@ -115,33 +115,33 @@ def test_locator_lambda1_is_lambda0_squared(tables):
 
 # --- Chien search ---------------------------------------------------------
 
-def direct_chien(locator, n, tables):
+def direct_chien(locator, tables):
     """Independent evaluation of the locator at every point alpha^j."""
     positions = set()
     for j in range(63):
         value = locator.lambda0
         value ^= gf_mul_table(locator.lambda1, tables.antilog[j % 63], tables)
         value ^= gf_mul_table(locator.lambda2, tables.antilog[2 * j % 63], tables)
-        if value == 0 and (63 - j) % 63 < n:
+        if value == 0:
             positions.add((63 - j) % 63)
     return positions
 
 
 def test_chien_single_error_at_zero(tables):
-    assert chien_search(ErrorLocator(1, 1, 0), 63, tables) == {0}
+    assert chien_search(ErrorLocator(1, 1, 0), tables) == {0}
 
 
 def test_chien_every_single_error_position(tables):
     for j in range(63):
         loc = solve_locator(compute_syndromes(1 << j, tables), tables)
-        assert chien_search(loc, 63, tables) == {j}
+        assert chien_search(loc, tables) == {j}
 
 
 def test_chien_double_error(tables):
     syndromes = compute_syndromes(1 << 2 | 1 << 5, tables)
     loc = solve_locator(syndromes, tables)
     assert loc.lambda2 != 0
-    assert chien_search(loc, 63, tables) == {2, 5}
+    assert chien_search(loc, tables) == {2, 5}
 
 
 def test_chien_iterative_equals_direct(tables):
@@ -152,7 +152,7 @@ def test_chien_iterative_equals_direct(tables):
         if loc == (0, 0, 0):
             continue
         seen += 1
-        assert chien_search(loc, 63, tables) == direct_chien(loc, 63, tables)
+        assert chien_search(loc, tables) == direct_chien(loc, tables)
 
 
 def locator_roots(tables):
@@ -179,24 +179,16 @@ def locator_roots(tables):
     return roots
 
 
-@pytest.mark.parametrize("n", [63, 31])
-def test_chien_equals_root_enumeration_on_every_locator(tables, n):
+def test_chien_equals_root_enumeration_on_every_locator(tables):
     roots = locator_roots(tables)
-    cut = (1 << n) - 1
     for key in range(1, 1 << 18):
-        found = chien_search(ErrorLocator(key & 63, key >> 6 & 63, key >> 12), n, tables)
-        assert sum(1 << p for p in found) == roots[key] & cut, key
-
-
-def test_chien_discards_positions_beyond_n(tables):
-    loc = solve_locator(compute_syndromes(1 << 40, tables), tables)
-    assert chien_search(loc, 63, tables) == {40}
-    assert chien_search(loc, 31, tables) == set()
+        found = chien_search(ErrorLocator(key & 63, key >> 6 & 63, key >> 12), tables)
+        assert sum(1 << p for p in found) == roots[key], key
 
 
 def test_chien_rejects_all_zero_locator(tables):
     with pytest.raises(ValueError):
-        chien_search(ErrorLocator(0, 0, 0), 63, tables)
+        chien_search(ErrorLocator(0, 0, 0), tables)
 
 
 # --- correction -----------------------------------------------------------

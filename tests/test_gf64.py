@@ -155,6 +155,9 @@ def test_inv_all_nonzero(tables):
 def test_tables_rebuild_identical(tables):
     again = build_tables()
     assert again == tables
+    # the session-wide fixture is shared by every test, so it must not be settable
+    with pytest.raises(AttributeError):
+        again.log = ()
 
 
 def test_gf2_poly_helpers():
