@@ -184,17 +184,20 @@ class BerReport(NamedTuple):
 def random_error_pattern(weight: int, n: int, seed: int) -> int:
     """Mask of `weight` distinct positions drawn uniformly from 0..n-1.
 
-    Partial Fisher-Yates over the position list; same seed, same pattern.
+    Partial Fisher-Yates over the positions 0..n-1; same seed, same
+    pattern.  Only the slots a swap has displaced are stored: slot k holds
+    displaced.get(k, k).  Step i reads slot j >= i and moves slot i's
+    position there; slot i itself is never read again.
     """
     if not 0 <= weight <= n <= CODEWORD_BITS:
         raise ValueError(f"need 0 <= weight <= n <= 63, got weight={weight} n={n}")
     rng = SplitMix64(seed)
-    slots = list(range(n))
+    displaced: dict[int, int] = {}
     mask = 0
     for i in range(weight):
         j = i + rng.next_below(n - i)
-        slots[i], slots[j] = slots[j], slots[i]
-        mask |= 1 << slots[i]
+        mask |= 1 << displaced.get(j, j)
+        displaced[j] = displaced.get(i, i)
     return mask
 
 

@@ -12,6 +12,14 @@ reserved bit is a parse error, reported with its file and line number.
 Decode writes an all-X sentinel line for uncorrectable frames so frame
 counts stay aligned across pipeline stages.
 
+Frames are streamed: each command reads, transforms and writes one frame
+at a time, so its memory does not grow with the file.  An output (OUT,
+decode's --report, ber's --csv) is written to a new file beside it and
+moved over it only when the command succeeds, so a failing run leaves
+the old file, or none, never a partial one.  A symlinked output keeps
+its link and its target is replaced; an output that exists and is not a
+regular file (a FIFO, a device) is written in place.
+
 Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 --allow-errors) or the self-test failed; 2 on usage or parse errors, or
 when an input cannot be read or an output cannot be written.
@@ -20,9 +28,14 @@ when an input cannot be read or an output cannot be written.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
+import os
 import re
+import stat
 import sys
 import time
+from collections.abc import Iterable, Iterator
 
 from . import channel_sim, reference_oracle
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
@@ -43,7 +56,14 @@ class FrameFileError(Exception):
     """Malformed frame file; message carries file and line context."""
 
 
-_HEX_FRAME = {width: re.compile(f"[0-9a-fA-F]{{{width}}}") for width in (8, 16)}
+# A frame file is read and split into lines this many bytes at a time:
+# enough that the per-line cost is that of one large read, and small
+# beside the interpreter's own memory.
+_READ_BLOCK = 1 << 14
+
+_HEX_FRAME = {width: re.compile(b"[0-9a-fA-F]{%d}" % width) for width in (8, 16)}
+# The ASCII characters str.strip removes; bytes.strip() alone keeps \x1c-\x1f.
+_BLANKS = bytes(c for c in range(128) if chr(c).isspace())
 
 
 def _frame_width(short: bool) -> int:
@@ -56,51 +76,109 @@ def _value_bits(kind: str, short: bool) -> int:
     return SHORT_CODEWORD_BITS if short else CODEWORD_BITS
 
 
-def parse_frame_file(path: str, kind: str, short: bool) -> list[int]:
-    """Read a frame file, enforcing width and reserved-bit invariants."""
-    width = _frame_width(short)
-    bits = _value_bits(kind, short)
-    try:
-        with open(path, "rb") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    hex_frame = _HEX_FRAME[width]
-    frames = []
-    for lineno, raw in enumerate(lines, start=1):
-        try:
-            text = raw.decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            raise FrameFileError(
-                f"{path}:{lineno}: non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
-            ) from None
-        if len(text) != width:
-            raise FrameFileError(
-                f"{path}:{lineno}: expected {width} hex digits, got {text!r}"
-            )
-        if not hex_frame.fullmatch(text):
-            raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
-        value = int(text, 16)
-        if value >> bits:
-            raise FrameFileError(
-                f"{path}:{lineno}: reserved bits above bit {bits - 1} are set"
-            )
-        frames.append(value)
+def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[int]:
+    """Open a frame file; return an iterator over its frames, each checked as it is read.
+
+    The file is opened before this returns, so a missing input fails
+    before any output is created.  A frame that breaks the width or
+    reserved-bit rules raises FrameFileError with its line number when
+    the iterator reaches it.
+    """
+    frames = _frames(path, _frame_width(short), _value_bits(kind, short))
+    next(frames)  # runs to the open; from there the generator closes the file
     return frames
 
 
-def write_frame_file(path: str, frames, short: bool) -> None:
+def _frames(path: str, width: int, bits: int) -> Iterator[int | None]:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    hex_frame = _HEX_FRAME[width]
+    with fh:
+        yield None  # parse_frame_file's first step ends here, with the file open
+        # Each block is extended to just after a \n, which always ends a
+        # line, so splitting the blocks gives the lines of bytes.splitlines
+        # on the whole file (a \r\n pair never straddles two blocks).
+        blocks = iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b"")
+        lines = itertools.chain.from_iterable(map(bytes.splitlines, blocks))
+        for lineno, raw in enumerate(lines, start=1):
+            text = raw.strip(_BLANKS)
+            if not hex_frame.fullmatch(text):
+                raise FrameFileError(f"{path}:{lineno}: {_not_a_frame(raw, width)}")
+            value = int(text, 16)
+            if value >> bits:
+                raise FrameFileError(
+                    f"{path}:{lineno}: reserved bits above bit {bits - 1} are set"
+                )
+            yield value
+
+
+def _not_a_frame(raw: bytes, width: int) -> str:
+    """Why a line that is not `width` hex digits between blanks was rejected."""
+    try:
+        text = raw.decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        return f"non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+    if len(text) != width:
+        return f"expected {width} hex digits, got {text!r}"
+    return f"not a hex frame: {text!r}"
+
+
+@contextlib.contextmanager
+def _replacing(path: str) -> Iterator:
+    """Text file whose content replaces `path` if the block ends without an exception.
+
+    The content goes to a new file in the target's directory, which
+    os.replace then moves over the target, so readers see the old file
+    or the whole new one.  On an exception the new file is removed and
+    the target is left as it was.  A symlink is followed: the link stays
+    and the file it names is replaced.  A target that exists and is not a
+    regular file (a FIFO, a device) cannot be replaced and is written in
+    place.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = None
+    except OSError as exc:  # named by the path given, not the resolved one
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(target, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            if mode is not None:
+                os.fchmod(fd, stat.S_IMODE(mode))  # a rewritten file keeps its permissions
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+
+
+def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> None:
+    """Write one frame per line, an all-X line for None; `path` is replaced only on success."""
     width = _frame_width(short)
-    with open(path, "w", encoding="ascii") as fh:
-        for value in frames:
-            fh.write("X" * width if value is None else format(value, f"0{width}x"))
-            fh.write("\n")
+    digits = f"0{width}x"
+    sentinel = "X" * width + "\n"
+    with _replacing(path) as fh:
+        fh.writelines(sentinel if value is None else format(value, digits) + "\n"
+                      for value in frames)
 
 
 def _cmd_encode(args) -> int:
     messages = parse_frame_file(args.infile, "message", args.short)
     encoder = encode_shortened if args.short else encode
-    write_frame_file(args.outfile, [encoder(m) for m in messages], args.short)
+    write_frame_file(args.outfile, map(encoder, messages), args.short)
     return 0
 
 
@@ -108,29 +186,28 @@ def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
     tables = build_tables()
     message_mask = (1 << MESSAGE_BITS) - 1
-    out: list[int | None] = []
-    rows = []
     uncorrectable = 0
-    for index, word in enumerate(received):
-        if args.short:
-            outcome = decode_shortened(word, tables)
-            message = outcome.corrected
-        else:
-            outcome = decode(word, tables)
-            message = None if outcome.corrected is None else \
-                (outcome.corrected >> PARITY_BITS) & message_mask
-        if outcome.status is DecodeStatus.UNCORRECTABLE:
-            uncorrectable += 1
-            out.append(None)
-        else:
-            out.append(message)
-        rows.append((index, outcome.status.value, len(outcome.positions)))
-    write_frame_file(args.outfile, out, args.short)
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write("frame_index,status,num_errors_corrected\n")
-            for index, status, corrected in rows:
-                fh.write(f"{index},{status},{corrected}\n")
+
+    def messages(report) -> Iterator[int | None]:
+        nonlocal uncorrectable
+        for index, word in enumerate(received):
+            if args.short:
+                outcome = decode_shortened(word, tables)
+                message = outcome.corrected
+            else:
+                outcome = decode(word, tables)
+                message = None if outcome.corrected is None else \
+                    (outcome.corrected >> PARITY_BITS) & message_mask
+            if outcome.status is DecodeStatus.UNCORRECTABLE:  # message is None
+                uncorrectable += 1
+            if report is not None:
+                report.write(f"{index},{outcome.status.value},{len(outcome.positions)}\n")
+            yield message
+
+    with _replacing(args.report) if args.report else contextlib.nullcontext() as report:
+        if report is not None:
+            report.write("frame_index,status,num_errors_corrected\n")
+        write_frame_file(args.outfile, messages(report), args.short)
     if uncorrectable:
         print(f"{uncorrectable} uncorrectable frame(s)", file=sys.stderr)
         if not args.allow_errors:
@@ -141,15 +218,17 @@ def _cmd_decode(args) -> int:
 def _cmd_corrupt(args) -> int:
     frames = parse_frame_file(args.infile, "codeword", args.short)
     n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
-    out = []
-    for index, word in enumerate(frames):
-        frame_seed = channel_sim.substream_seed(args.seed, index)
-        if args.bsc is not None:
-            mask = channel_sim.bernoulli_mask(args.bsc, frame_seed, n)
-        else:
-            mask = channel_sim.random_error_pattern(args.weight, n, frame_seed)
-        out.append(word ^ mask)
-    write_frame_file(args.outfile, out, args.short)
+
+    def corrupted() -> Iterator[int]:
+        for index, word in enumerate(frames):
+            frame_seed = channel_sim.substream_seed(args.seed, index)
+            if args.bsc is not None:
+                mask = channel_sim.bernoulli_mask(args.bsc, frame_seed, n)
+            else:
+                mask = channel_sim.random_error_pattern(args.weight, n, frame_seed)
+            yield word ^ mask
+
+    write_frame_file(args.outfile, corrupted(), args.short)
     return 0
 
 
@@ -158,7 +237,7 @@ def _cmd_ber(args) -> int:
     report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed, tables)
     text = report.CSV_HEADER + "\n" + report.csv_row() + "\n"
     if args.csv:
-        with open(args.csv, "w", encoding="ascii") as fh:
+        with _replacing(args.csv) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

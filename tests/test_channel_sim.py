@@ -83,6 +83,28 @@ def test_error_pattern_weight():
     assert random_error_pattern(63, 63, 1) == (1 << 63) - 1
 
 
+def reference_error_pattern(weight, n, seed):
+    """Partial Fisher-Yates over the whole position list, the definitional form."""
+    rng = SplitMix64(seed)
+    slots = list(range(n))
+    mask = 0
+    for i in range(weight):
+        j = i + rng.next_below(n - i)
+        slots[i], slots[j] = slots[j], slots[i]
+        mask |= 1 << slots[i]
+    return mask
+
+
+def test_error_pattern_equals_list_fisher_yates():
+    draw = random.Random(17)
+    seeds = [0, 1, 2**64 - 1] + [draw.getrandbits(64) for _ in range(97)]
+    for n in (31, 63):
+        for weight in range(n + 1):
+            for seed in seeds:
+                assert random_error_pattern(weight, n, seed) == \
+                    reference_error_pattern(weight, n, seed), (weight, n, seed)
+
+
 def test_random_pattern_weight_zero():
     assert random_error_pattern(0, 63, 5) == 0
 

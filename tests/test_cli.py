@@ -1,16 +1,25 @@
 """CLI behavior: framing, round trips, exit codes, reports."""
 
 import ast
+import contextlib
+import io
 import os
 import pathlib
+import random
+import re
+import stat
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bch6351
+from bch6351 import cli
 from bch6351.channel_sim import SplitMix64, substream_seed
-from bch6351.cli import main, parse_frame_file, write_frame_file
+from bch6351.cli import FrameFileError, main, parse_frame_file, write_frame_file
 from bch6351.encoder import MESSAGE_BITS
 from test_channel_sim import reference_mask
 
@@ -142,6 +151,59 @@ def test_parse_error_bad_hex(tmp_path, capsys):
         assert f"{infile}:1:" in err and "reserved" not in err, (line, err)
 
 
+def reference_line(raw, width, bits):
+    """The definitional check of one line: its value, or the message after `path:line: `."""
+    try:
+        text = raw.decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        return f"non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
+    if len(text) != width:
+        return f"expected {width} hex digits, got {text!r}"
+    if not re.fullmatch(f"[0-9a-fA-F]{{{width}}}", text):
+        return f"not a hex frame: {text!r}"
+    value = int(text, 16)
+    if value >> bits:
+        return f"reserved bits above bit {bits - 1} are set"
+    return value
+
+
+def test_line_check_equals_reference_on_every_byte(tmp_path):
+    # every byte but a line break, around the frame and in place of its
+    # first, fourth and last digit, against the check on decoded text
+    path = tmp_path / "f.hex"
+    for short, kind, bits in ((False, "codeword", 63), (True, "message", 19)):
+        width = 8 if short else 16
+        frame = b"0" * (width - 2) + b"aF"
+        lines = [frame, b"f" * width, b"", b" " * width]
+        for byte in (bytes([b]) for b in range(256) if b not in b"\r\n"):
+            lines += [byte + frame, frame + byte, byte + frame[1:],
+                      frame[:3] + byte + frame[4:], frame[:-1] + byte]
+        for line in lines:
+            path.write_bytes(line + b"\n")
+            want = reference_line(line, width, bits)
+            if isinstance(want, int):
+                assert list(parse_frame_file(str(path), kind, short)) == [want], line
+            else:
+                with pytest.raises(FrameFileError) as exc:
+                    list(parse_frame_file(str(path), kind, short))
+                assert str(exc.value) == f"{path}:1: {want}", line
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 17, 1 << 14])
+def test_lines_split_as_bytes_splitlines_across_blocks(tmp_path, monkeypatch, block):
+    # with every read size, a \r\n at the end of a block stays one break
+    monkeypatch.setattr(cli, "_READ_BLOCK", block)
+    rng = random.Random(block)
+    words = random_messages(300, seed=block, bits=63)
+    ends = [rng.choice([b"\n", b"\r\n", b"\r"]) for _ in words]
+    data = b"".join(format(w, "016x").encode() + end for w, end in zip(words, ends))
+    path = tmp_path / "f.hex"
+    for text in (data, data.rstrip(b"\r\n")):
+        path.write_bytes(text)
+        assert [int(line, 16) for line in text.splitlines()] == words
+        assert list(parse_frame_file(str(path), "codeword", short=False)) == words
+
+
 def test_parse_error_wrong_width(tmp_path, capsys):
     infile = tmp_path / "m.hex"
     infile.write_text("0000000000000000\nabc\n")
@@ -160,6 +222,9 @@ def test_parse_error_reserved_bits(tmp_path, capsys):
 
 def test_missing_input_file(tmp_path, capsys):
     assert main(["encode", str(tmp_path / "nope.hex"), str(tmp_path / "c.hex")]) == 2
+    assert "cannot read" in capsys.readouterr().err
+    # reported before any output is opened, here in a missing directory
+    assert main(["encode", str(tmp_path / "nope.hex"), str(tmp_path / "no" / "c.hex")]) == 2
     assert "cannot read" in capsys.readouterr().err
 
 
@@ -182,6 +247,107 @@ def test_unwritable_output_exit_code(tmp_path, capsys, command):
     assert err.startswith("error: ") and str(out) in err
 
 
+@pytest.mark.parametrize("words", ["bad-line-3", "missing"])
+@pytest.mark.parametrize("command", [
+    ["encode", "{words}", "{out}"],
+    ["corrupt", "--weight", "2", "--seed", "1", "{words}", "{out}"],
+    ["decode", "--report", "{report}", "{words}", "{out}"],
+], ids=["encode", "corrupt", "decode-report"])
+def test_failed_run_leaves_outputs_as_they_were(tmp_path, capsys, command, words):
+    infile = tmp_path / "w.hex"
+    if words == "bad-line-3":
+        infile.write_text("0" * 16 + "\n" + "0" * 16 + "\nzz\n" + "0" * 16 + "\n")
+    paths = {"words": infile, "out": tmp_path / "o.hex", "report": tmp_path / "r.csv"}
+    paths["out"].write_bytes(b"old output\n")
+    paths["report"].write_bytes(b"old report\n")
+    before = sorted(os.listdir(tmp_path))
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert (":3:" if words == "bad-line-3" else "cannot read") in capsys.readouterr().err
+    assert paths["out"].read_bytes() == b"old output\n"
+    assert paths["report"].read_bytes() == b"old report\n"
+    assert sorted(os.listdir(tmp_path)) == before
+
+
+def test_failure_after_frames_were_written_leaves_no_output(tmp_path, monkeypatch):
+    # the third frame raises after two frames went to the new file
+    infile, outfile = tmp_path / "m.hex", tmp_path / "c.hex"
+    write_messages(infile, [1, 2, 3, 4])
+    calls = []
+
+    def failing(message):
+        calls.append(message)
+        if len(calls) == 3:
+            raise RuntimeError("injected")
+        return message
+
+    monkeypatch.setattr(cli, "encode", failing)
+    with pytest.raises(RuntimeError):
+        main(["encode", str(infile), str(outfile)])
+    assert sorted(os.listdir(tmp_path)) == ["m.hex"]
+
+
+def test_symlinked_output_stays_a_link(tmp_path):
+    infile = tmp_path / "m.hex"
+    write_messages(infile, [0, 1])
+    (tmp_path / "real").mkdir()
+    target = tmp_path / "real" / "c.hex"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "c.hex"
+    link.symlink_to(target)
+    assert main(["encode", str(infile), str(link)]) == 0
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == "0" * 16 + "\n" + "0000000000001539\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(os.listdir(tmp_path / "real")) == ["c.hex"]
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    infile, fifo = tmp_path / "m.hex", tmp_path / "pipe"
+    write_messages(infile, [0, 1])
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["encode", str(infile), str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert received == [b"0" * 16 + b"\n" + b"0000000000001539\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["m.hex", "pipe"]
+
+
+def test_decode_memory_does_not_grow_with_the_file(tmp_path):
+    # frames are streamed, so the traced peak of a decode --report holds
+    # steady from 2k to 20k frames
+    def peak(count):
+        messages, coded, noisy = (tmp_path / f"{name}{count}.hex" for name in "mcn")
+        write_messages(messages, random_messages(count, seed=count))
+        assert main(["encode", str(messages), str(coded)]) == 0
+        assert main(["corrupt", "--weight", "2", "--seed", "3", str(coded), str(noisy)]) == 0
+        tracemalloc.start()
+        try:
+            assert main(["decode", "--report", str(tmp_path / "r.csv"),
+                         str(noisy), str(tmp_path / "d.hex")]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2_000)  # warm-up: first-call allocations are not the file's
+    small, large = peak(2_000), peak(20_000)
+    assert large < 1.5 * small, (small, large)
+
+
+def test_output_error_names_the_path_given(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", [0])
+    (tmp_path / "file").write_text("")
+    for out in ("file/o.hex", "missing/o.hex"):
+        assert main(["encode", "m.hex", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f"'{out}'\n"), err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["decode"])  # missing positionals
@@ -195,6 +361,69 @@ def test_read_rewrite_identity(tmp_path):
     frames = parse_frame_file(str(original), "codeword", short=False)
     write_frame_file(str(rewritten), frames, short=False)
     assert rewritten.read_bytes() == original.read_bytes()
+
+
+NEWLINES = [b"\n", b"\r\n", b"\r"]
+
+
+def _value_bits(kind, short):
+    return {("message", False): 51, ("codeword", False): 63,
+            ("message", True): 19, ("codeword", True): 31}[kind, short]
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(["message", "codeword"]), short=st.booleans(),
+       newline=st.sampled_from(NEWLINES), data=st.data())
+def test_write_parse_round_trip_property(tmp_path_factory, kind, short, newline, data):
+    bits = _value_bits(kind, short)
+    frames = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
+    path = tmp_path_factory.mktemp("round-trip") / "frames.hex"
+    write_frame_file(str(path), frames, short)
+    path.write_bytes(path.read_bytes().replace(b"\n", newline))
+    assert list(parse_frame_file(str(path), kind, short)) == frames
+
+
+def _bad_lines(width, bits):
+    hex_digits = st.text("0123456789abcdefABCDEF", min_size=width, max_size=width)
+    # anything but a hex digit or a line break; at an edge a space strips
+    # away and leaves the line short
+    not_hex = st.characters(max_codepoint=127, exclude_characters="0123456789abcdefABCDEF\r\n")
+    wrong_width = st.integers(0, width + 4).filter(lambda k: k != width).flatmap(
+        lambda k: st.text("0123456789abcdef", min_size=k, max_size=k))
+    foreign = st.tuples(hex_digits, st.integers(0, width - 1), not_hex).map(
+        lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:])
+    reserved = st.tuples(st.integers(0, (1 << bits) - 1), st.integers(bits, 4 * width - 1)).map(
+        lambda t: format(t[0] | 1 << t[1], f"0{width}x"))
+    encoded = st.one_of(wrong_width, foreign, reserved).map(str.encode)
+    non_ascii = st.tuples(hex_digits.map(str.encode), st.integers(0, width - 1),
+                          st.integers(0x80, 0xFF)).map(
+        lambda t: t[0][:t[1]] + bytes([t[2]]) + t[0][t[1] + 1:])
+    return st.one_of(encoded, non_ascii)
+
+
+@settings(deadline=None)
+@given(command=st.sampled_from(["encode", "decode", "corrupt"]), short=st.booleans(),
+       newline=st.sampled_from(NEWLINES), data=st.data())
+def test_rejected_line_exits_2_naming_its_line_property(tmp_path_factory, command, short,
+                                                        newline, data):
+    kind = "message" if command == "encode" else "codeword"
+    width = 8 if short else 16
+    bits = _value_bits(kind, short)
+    good = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=5))
+    bad_at = data.draw(st.integers(0, len(good)))
+    lines = [format(v, f"0{width}x").encode() for v in good]
+    lines.insert(bad_at, data.draw(_bad_lines(width, bits)))
+    work = tmp_path_factory.mktemp("rejected")
+    infile, outfile = work / "in.hex", work / "out.hex"
+    infile.write_bytes(newline.join(lines) + newline)
+    flags = ["--short"] if short else []
+    if command == "corrupt":
+        flags += ["--weight", "1", "--seed", "5"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([command, *flags, str(infile), str(outfile)]) == 2
+    assert f"{infile}:{bad_at + 1}: " in err.getvalue()
+    assert sorted(os.listdir(work)) == ["in.hex"]
 
 
 def test_parse_serialize_identity(tmp_path):
