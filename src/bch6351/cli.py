@@ -29,13 +29,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
-import os
-import re
-import stat
 import sys
 import time
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from . import channel_sim, reference_oracle
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
@@ -44,135 +40,12 @@ from .encoder import (
     MESSAGE_BITS,
     PARITY_BITS,
     SHORT_CODEWORD_BITS,
-    SHORT_PAYLOAD_BITS,
     encode,
     encode_lfsr,
     encode_shortened,
 )
 from .decoder import DecodeStatus, compute_syndromes, decode, decode_shortened
-
-
-class FrameFileError(Exception):
-    """Malformed frame file; message carries file and line context."""
-
-
-# A frame file is read and split into lines this many bytes at a time:
-# enough that the per-line cost is that of one large read, and small
-# beside the interpreter's own memory.
-_READ_BLOCK = 1 << 14
-
-_HEX_FRAME = {width: re.compile(b"[0-9a-fA-F]{%d}" % width) for width in (8, 16)}
-# The ASCII characters str.strip removes; bytes.strip() alone keeps \x1c-\x1f.
-_BLANKS = bytes(c for c in range(128) if chr(c).isspace())
-
-
-def _frame_width(short: bool) -> int:
-    return 8 if short else 16
-
-
-def _value_bits(kind: str, short: bool) -> int:
-    if kind == "message":
-        return SHORT_PAYLOAD_BITS if short else MESSAGE_BITS
-    return SHORT_CODEWORD_BITS if short else CODEWORD_BITS
-
-
-def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[int]:
-    """Open a frame file; return an iterator over its frames, each checked as it is read.
-
-    The file is opened before this returns, so a missing input fails
-    before any output is created.  A frame that breaks the width or
-    reserved-bit rules raises FrameFileError with its line number when
-    the iterator reaches it.
-    """
-    frames = _frames(path, _frame_width(short), _value_bits(kind, short))
-    next(frames)  # runs to the open; from there the generator closes the file
-    return frames
-
-
-def _frames(path: str, width: int, bits: int) -> Iterator[int | None]:
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    hex_frame = _HEX_FRAME[width]
-    with fh:
-        yield None  # parse_frame_file's first step ends here, with the file open
-        # Each block is extended to just after a \n, which always ends a
-        # line, so splitting the blocks gives the lines of bytes.splitlines
-        # on the whole file (a \r\n pair never straddles two blocks).
-        blocks = iter(lambda: fh.read(_READ_BLOCK) + fh.readline(), b"")
-        lines = itertools.chain.from_iterable(map(bytes.splitlines, blocks))
-        for lineno, raw in enumerate(lines, start=1):
-            text = raw.strip(_BLANKS)
-            if not hex_frame.fullmatch(text):
-                raise FrameFileError(f"{path}:{lineno}: {_not_a_frame(raw, width)}")
-            value = int(text, 16)
-            if value >> bits:
-                raise FrameFileError(
-                    f"{path}:{lineno}: reserved bits above bit {bits - 1} are set"
-                )
-            yield value
-
-
-def _not_a_frame(raw: bytes, width: int) -> str:
-    """Why a line that is not `width` hex digits between blanks was rejected."""
-    try:
-        text = raw.decode("ascii").strip()
-    except UnicodeDecodeError as exc:
-        return f"non-ASCII byte {raw[exc.start]:#04x} at column {exc.start + 1}"
-    if len(text) != width:
-        return f"expected {width} hex digits, got {text!r}"
-    return f"not a hex frame: {text!r}"
-
-
-@contextlib.contextmanager
-def _replacing(path: str) -> Iterator:
-    """Text file whose content replaces `path` if the block ends without an exception.
-
-    The content goes to a new file in the target's directory, which
-    os.replace then moves over the target, so readers see the old file
-    or the whole new one.  On an exception the new file is removed and
-    the target is left as it was.  A symlink is followed: the link stays
-    and the file it names is replaced.  A target that exists and is not a
-    regular file (a FIFO, a device) cannot be replaced and is written in
-    place.
-    """
-    target = os.path.realpath(path)
-    try:
-        mode = os.stat(target).st_mode
-    except FileNotFoundError:
-        mode = None
-    except OSError as exc:  # named by the path given, not the resolved one
-        raise OSError(exc.errno, exc.strerror, path) from None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="ascii") as fh:
-            yield fh
-        return
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, path) from None
-    try:
-        with open(fd, "w", encoding="ascii") as fh:
-            if mode is not None:
-                os.fchmod(fd, stat.S_IMODE(mode))  # a rewritten file keeps its permissions
-            yield fh
-        os.replace(temp, target)
-    except BaseException:
-        os.remove(temp)
-        raise
-
-
-def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> None:
-    """Write one frame per line, an all-X line for None; `path` is replaced only on success."""
-    width = _frame_width(short)
-    digits = f"0{width}x"
-    sentinel = "X" * width + "\n"
-    with _replacing(path) as fh:
-        fh.writelines(sentinel if value is None else format(value, digits) + "\n"
-                      for value in frames)
+from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
 
 
 def _cmd_encode(args) -> int:
@@ -204,7 +77,7 @@ def _cmd_decode(args) -> int:
                 report.write(f"{index},{outcome.status.value},{len(outcome.positions)}\n")
             yield message
 
-    with _replacing(args.report) if args.report else contextlib.nullcontext() as report:
+    with replacing(args.report) if args.report else contextlib.nullcontext() as report:
         if report is not None:
             report.write("frame_index,status,num_errors_corrected\n")
         write_frame_file(args.outfile, messages(report), args.short)
@@ -237,7 +110,7 @@ def _cmd_ber(args) -> int:
     report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed, tables)
     text = report.CSV_HEADER + "\n" + report.csv_row() + "\n"
     if args.csv:
-        with _replacing(args.csv) as fh:
+        with replacing(args.csv) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

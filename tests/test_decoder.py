@@ -3,7 +3,6 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from bch6351 import decoder
 from bch6351.channel_sim import SplitMix64
@@ -230,21 +229,6 @@ def test_decode_all_weight_le2_patterns(tables):
             assert outcome.positions == frozenset(
                 i for i in range(63) if mask >> i & 1
             )
-
-
-@settings(deadline=None)
-@given(message=st.integers(0, (1 << MESSAGE_BITS) - 1),
-       error=st.one_of(st.integers(0, (1 << 63) - 1),
-                       st.sets(st.integers(0, 62), max_size=4).map(
-                           lambda positions: sum(1 << i for i in positions))))
-def test_decode_linearity_property(tables, message, error):
-    # the syndromes of c ^ e are those of e, so both decodes name the same
-    # positions; run_ber_experiment decodes the flip mask on this basis
-    codeword = encode_lfsr(message)
-    received, alone = decode(codeword ^ error, tables), decode(error, tables)
-    assert (received.status, received.positions) == (alone.status, alone.positions)
-    if alone.corrected is not None:
-        assert received.corrected == codeword ^ alone.corrected
 
 
 def test_decode_raises_when_recheck_fails(tables, monkeypatch):
