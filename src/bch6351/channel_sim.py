@@ -7,10 +7,11 @@ reproducible across languages; the platform RNG is deliberately not used
 anywhere.  Bernoulli trials compare the top 53 bits of a draw against
 floor(p * 2^53), which is integer-exact for any double p.
 
-Per-frame sub-seeds are successive outputs of the master seed's stream
-(frame i uses sub-seed indices 2i for its message and 2i+1 for its
-channel noise), so frames are independent and results do not depend on
-evaluation order.
+Per-frame sub-seeds are successive outputs of the master seed's stream,
+so frames are independent and results do not depend on evaluation
+order.  The BER harness gives frame i sub-seed indices 2i for its
+message and 2i+1 for its channel noise; the CLI's `corrupt`, which has
+no message to draw, takes frame i's flip mask from index i.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 import time
 from collections.abc import Iterator
@@ -124,21 +125,15 @@ def _cmd_tables(args) -> int:
 
 def _cmd_selftest(args) -> int:
     tables = build_tables()
-    ok = True
-    start = lap = time.perf_counter()
+    # Both oracle checks read the table; a build that raises fails both.
+    oracle_table = functools.cache(lambda: reference_oracle.build_syndrome_table(tables))
 
-    def record(name: str, passed: bool, detail: str) -> None:
-        nonlocal ok, lap
-        now = time.perf_counter()
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail} ({now - lap:.3f}s)", flush=True)
-        ok = ok and passed
-        lap = now
-
-    mse_bad = sum(
-        1 for a in range(64) for b in range(64)
-        if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)
-    )
-    record("multiplier equivalence (4096 pairs)", mse_bad == 0, f"{mse_bad} mismatches")
+    def multipliers() -> tuple[bool, str]:
+        bad = sum(
+            1 for a in range(64) for b in range(64)
+            if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)
+        )
+        return bad == 0, f"{bad} mismatches"
 
     # The syndromes and the parity are XORs of one table entry per input
     # byte.  The inputs with one nonzero byte read every entry (entry 0 of
@@ -157,38 +152,57 @@ def _cmd_selftest(args) -> int:
         return s1, s2, s3
 
     words = single_byte_words(CODEWORD_BITS)
-    syn_bad = sum(1 for w in words if compute_syndromes(w, tables) != definitional_syndromes(w))
-    record(f"syndrome certificate ({len(words)} single-byte words)", syn_bad == 0,
-           f"{syn_bad} mismatches")
+
+    def syndromes() -> tuple[bool, str]:
+        bad = sum(1 for w in words if compute_syndromes(w, tables) != definitional_syndromes(w))
+        return bad == 0, f"{bad} mismatches"
 
     messages = single_byte_words(MESSAGE_BITS)
-    enc_bad = 0
-    for m in messages:
-        codeword = encode(m)
-        enc_bad += codeword != encode_lfsr(m) or compute_syndromes(codeword, tables) != (0, 0, 0)
-    record(f"encoder certificate ({len(messages)} single-byte messages)", enc_bad == 0,
-           f"{enc_bad} mismatches")
 
-    table = reference_oracle.build_syndrome_table(tables)
-    record(
-        "syndrome distinctness (2017 keys)",
-        reference_oracle.verify_syndrome_distinctness(table),
-        f"{len(table)} entries",
-    )
+    def encoder() -> tuple[bool, str]:
+        bad = 0
+        for m in messages:
+            codeword = encode(m)
+            bad += codeword != encode_lfsr(m) or compute_syndromes(codeword, tables) != (0, 0, 0)
+        return bad == 0, f"{bad} mismatches"
+
+    def distinctness() -> tuple[bool, str]:
+        table = oracle_table()
+        return reference_oracle.verify_syndrome_distinctness(table), f"{len(table)} entries"
 
     # The words below 2^12 are the 4096 remainders mod g(x), one in each
     # coset of the code, and a decode depends only on the coset.
     cosets = 1 << PARITY_BITS
-    coset_bad = correctable = 0
-    for word in range(cosets):
-        ours = decode(word, tables)
-        coset_bad += ours != reference_oracle.brute_force_decode(word, table, tables)
-        correctable += ours.status is not DecodeStatus.UNCORRECTABLE
-    record(
-        f"decoder/oracle coset certificate ({cosets} cosets)",
-        coset_bad == 0 and correctable == reference_oracle.TABLE_SIZE,
-        f"{coset_bad} disagreements, {correctable} correctable",
-    )
+
+    def coset_certificate() -> tuple[bool, str]:
+        table = oracle_table()
+        bad = correctable = 0
+        for word in range(cosets):
+            ours = decode(word, tables)
+            bad += ours != reference_oracle.brute_force_decode(word, table, tables)
+            correctable += ours.status is not DecodeStatus.UNCORRECTABLE
+        return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
+                f"{bad} disagreements, {correctable} correctable")
+
+    checks = [
+        ("multiplier equivalence (4096 pairs)", multipliers),
+        (f"syndrome certificate ({len(words)} single-byte words)", syndromes),
+        (f"encoder certificate ({len(messages)} single-byte messages)", encoder),
+        ("syndrome distinctness (2017 keys)", distinctness),
+        (f"decoder/oracle coset certificate ({cosets} cosets)", coset_certificate),
+    ]
+    ok = True
+    start = lap = time.perf_counter()
+    for name, check in checks:
+        # A check that raises has failed; the rest still run.
+        try:
+            passed, detail = check()
+        except Exception as exc:
+            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
+        now = time.perf_counter()
+        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail} ({now - lap:.3f}s)", flush=True)
+        ok = ok and passed
+        lap = now
 
     elapsed = time.perf_counter() - start
     print(f"{'self-test passed' if ok else 'SELF-TEST FAILED'} ({elapsed:.1f}s)")
@@ -248,8 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "weight", None) is not None and args.weight < 0:
-        parser.error("--weight must be non-negative")
+    if getattr(args, "weight", None) is not None:
+        n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
+        if not 0 <= args.weight <= n:
+            parser.error(f"--weight must be in 0..{n}")
     if getattr(args, "bsc", None) is not None and not 0.0 <= args.bsc <= 1.0:
         parser.error("--bsc probability must be in [0, 1]")
     try:

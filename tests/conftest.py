@@ -1,6 +1,6 @@
 import pytest
 
-from bch6351 import build_tables
+from bch6351.gf64 import build_tables
 from bch6351.reference_oracle import build_syndrome_table
 
 

@@ -13,10 +13,11 @@ import tracemalloc
 import pytest
 
 import bch6351
-from bch6351 import cli
+from bch6351 import cli, decoder
 from bch6351.channel_sim import SplitMix64, substream_seed
-from bch6351.cli import FrameFileError, main, parse_frame_file, write_frame_file
+from bch6351.cli import main
 from bch6351.encoder import MESSAGE_BITS
+from bch6351.frame_file import FrameFileError, parse_frame_file, write_frame_file
 from test_channel_sim import reference_mask
 
 
@@ -84,6 +85,25 @@ def test_corrupt_determinism(tmp_path):
         assert received == [word ^ reference_mask(0.1, substream_seed(11, i), bits)
                             for i, word in enumerate(words)]
         assert received != words
+
+
+def test_corrupt_weight_range_is_checked_before_the_input_is_read(tmp_path, capsys):
+    empty, zero, out = tmp_path / "empty.hex", tmp_path / "zero.hex", tmp_path / "r.hex"
+    empty.write_text("")
+    for flags, n in (([], 63), (["--short"], 31)):
+        for weight in (-1, n + 1):
+            with pytest.raises(SystemExit) as exc:
+                main(["corrupt", *flags, "--weight", str(weight), "--seed", "1",
+                      str(empty), str(out)])
+            assert exc.value.code == 2
+            assert f"--weight must be in 0..{n}" in capsys.readouterr().err
+            assert not out.exists()
+        # weight n is in range: every bit of a zero frame flips
+        write_messages(zero, [0], short=bool(flags))
+        assert main(["corrupt", *flags, "--weight", str(n), "--seed", "1",
+                     str(zero), str(out)]) == 0
+        assert int(out.read_text(), 16) == (1 << n) - 1
+        out.unlink()
 
 
 def test_uncorrectable_frames_and_sentinel(tmp_path):
@@ -423,6 +443,25 @@ def test_selftest_passes(capsys):
     assert "PASS  decoder/oracle coset certificate (4096 cosets): 0 disagreements, " \
            "2017 correctable (" in out
     assert all(line.endswith("s)") for line in checks)
+
+
+@pytest.mark.parametrize("entry, bit, verdicts, raised", [
+    # decode's zero-syndrome re-check raises in the coset certificate
+    (0x03, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
+    # build_syndrome_table raises, and both checks that read its table fail
+    (0x01, 1 << 12, ["PASS", "FAIL", "FAIL", "FAIL", "FAIL"], "ValueError: syndrome collision"),
+], ids=["re-check", "key-collision"])
+def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, entry, bit,
+                                                        verdicts, raised):
+    flipped = list(decoder._B0)
+    flipped[entry] ^= bit
+    monkeypatch.setattr(decoder, "_B0", tuple(flipped))
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[:4] for line in lines[:5]] == verdicts
+    assert lines[4].startswith(
+        f"FAIL  decoder/oracle coset certificate (4096 cosets): raised {raised}")
+    assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
 
 
 def test_no_assert_statements_in_package():

@@ -10,9 +10,10 @@ import os
 
 from hypothesis import given, settings, strategies as st
 
-from bch6351.cli import main, parse_frame_file, write_frame_file
+from bch6351.cli import main
 from bch6351.decoder import decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
+from bch6351.frame_file import parse_frame_file, write_frame_file
 
 
 NEWLINES = [b"\n", b"\r\n", b"\r"]
