@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--weight", type=int, help="flip exactly W random bits per frame")
     mode.add_argument("--bsc", type=float, metavar="P",
                       help="flip each bit independently with probability P")
-    p.add_argument("--seed", type=int, required=True, help="master seed (per-frame sub-seeded)")
+    p.add_argument("--seed", type=int, required=True,
+                   help="master seed in 0..2^64-1 (per-frame sub-seeded)")
     p.add_argument("--short", action="store_true", help="operate on (31,19) frames")
     p.add_argument("infile")
     p.add_argument("outfile")
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ber", help="Monte Carlo BER/FER measurement")
     p.add_argument("--p", type=float, required=True, help="BSC crossover probability")
-    p.add_argument("--frames", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--frames", type=int, required=True, help="number of frames, at least 1")
+    p.add_argument("--seed", type=int, required=True, help="master seed in 0..2^64-1")
     p.add_argument("--csv", metavar="FILE", help="write the report row to FILE instead of stdout")
     p.set_defaults(func=_cmd_ber)
 
@@ -268,6 +269,13 @@ def main(argv=None) -> int:
             parser.error(f"--weight must be in 0..{n}")
     if getattr(args, "bsc", None) is not None and not 0.0 <= args.bsc <= 1.0:
         parser.error("--bsc probability must be in [0, 1]")
+    if getattr(args, "seed", None) is not None and not 0 <= args.seed < 1 << 64:
+        parser.error("--seed must be in 0..2^64-1")
+    if args.command == "ber":
+        if not 0.0 <= args.p <= 1.0:
+            parser.error("--p probability must be in [0, 1]")
+        if args.frames < 1:
+            parser.error("--frames must be at least 1")
     try:
         return args.func(args)
     except (FrameFileError, OSError, ValueError) as exc:

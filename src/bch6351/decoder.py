@@ -4,14 +4,16 @@ Pipeline: syndrome computation, closed-form inversion-less locator for
 degree <= 2, root finding with reciprocal-root position mapping, bit-flip
 correction.  All arithmetic is exact; every comparison is equality.
 
-Every stage is a table lookup or a closed form.  The syndromes are linear
-in the received bits, so they are the XOR of one precomputed entry per
-received byte.  The locator has degree <= 2, so its roots follow from
-logarithms and one 64-entry table of solutions of y^2 + y = c (Berlekamp,
-Rumsey & Solomon, "On the solution of algebraic equations over finite
-fields", Inf. & Control 10, 1967), in place of trying all 63 field
-elements.  The tests certify both against the definitional forms on
-every input that can reach them.
+Every stage is a table lookup or a closed form, and the stages pass plain
+tuples.  The syndromes are linear in the received bits, so they are the
+XOR of one precomputed entry per received byte.  The locator is
+(S1, S2, S3 + S1*S2), formed only when S1 != 0, so its two low
+coefficients are nonzero and its roots follow from logarithms and one
+64-entry table of solutions of y^2 + y = c (Berlekamp, Rumsey & Solomon,
+"On the solution of algebraic equations over finite fields", Inf. &
+Control 10, 1967), in place of trying all 63 field elements.  The tests
+certify both against the definitional forms on every input that can
+reach them.
 
 Decoding is bounded-distance: received words within Hamming distance 2 of
 a codeword are corrected to it, words outside every radius-2 ball come
@@ -27,18 +29,6 @@ from typing import NamedTuple
 
 from .gf64 import GROUP_ORDER, GfTables, build_tables, byte_tables, gf_mul_table
 from .encoder import CODEWORD_BITS, PARITY_BITS, SHORT_CODEWORD_BITS, SHORT_PAYLOAD_BITS
-
-
-class SyndromeSet(NamedTuple):
-    s1: int
-    s2: int
-    s3: int
-
-
-class ErrorLocator(NamedTuple):
-    lambda0: int
-    lambda1: int
-    lambda2: int
 
 
 class DecodeStatus(Enum):
@@ -60,8 +50,6 @@ class DecodeOutcome(NamedTuple):
     corrected: int | None
 
 
-_ZERO_SYNDROMES = SyndromeSet(0, 0, 0)
-
 _FIELD = build_tables()
 
 # The syndromes of the unit word x^j, packed S1 | S2 << 6 | S3 << 12, and
@@ -75,14 +63,9 @@ _B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7 = byte_tables([
 # The 32 values c of trace 1 have no solution and no entry.
 _QUADRATIC_ROOT = {gf_mul_table(y, y, _FIELD) ^ y: y for y in range(64)}
 
-# log(u) = 32 * log(u^2) mod 63: 32 is the inverse of 2 mod 63.
-_INVERSE_OF_2 = 32
 
-_new_tuple = tuple.__new__
-
-
-def compute_syndromes(received: int, tables: GfTables) -> SyndromeSet:
-    """Evaluate the received polynomial at alpha, alpha^2, alpha^3.
+def compute_syndromes(received: int, tables: GfTables) -> tuple[int, int, int]:
+    """Evaluate the received polynomial at alpha, alpha^2, alpha^3: (S1, S2, S3).
 
     S_i is the XOR of alpha^(i*j) over the set bit positions j.  The
     syndromes are linear in the received bits, so all three come from one
@@ -95,67 +78,54 @@ def compute_syndromes(received: int, tables: GfTables) -> SyndromeSet:
               ^ _B2[received >> 16 & 0xFF] ^ _B3[received >> 24 & 0xFF]
               ^ _B4[received >> 32 & 0xFF] ^ _B5[received >> 40 & 0xFF]
               ^ _B6[received >> 48 & 0xFF] ^ _B7[received >> 56])
-    # tuple.__new__ builds the same SyndromeSet without the Python-level
-    # NamedTuple constructor, which would cost as much as the lookups.
-    return _new_tuple(SyndromeSet, (packed & 63, packed >> 6 & 63, packed >> 12))
+    return packed & 63, packed >> 6 & 63, packed >> 12
 
 
-def solve_locator(syndromes: SyndromeSet, tables: GfTables) -> ErrorLocator:
-    """Closed-form locator coefficients, no field inversions.
+def solve_locator(syndromes: tuple[int, int, int], tables: GfTables) -> tuple[int, int, int]:
+    """Closed-form locator coefficients (lambda0, lambda1, lambda2), no field inversions.
 
-    (lambda0, lambda1, lambda2) = (S1, S1*S1, S3 + S1*S2).  For a single
-    error the quadratic term cancels and the locator degree collapses to 1.
+    The inversion-less Berlekamp-Massey recursion for t = 2 ends at
+    (S1, S1*S1, S3 + S1*S2).  A binary word r has r(alpha^2) = r(alpha)^2,
+    so S1*S1 is S2 and one multiplication remains.  For a single error
+    the quadratic term cancels and the locator degree collapses to 1.
     """
     s1, s2, s3 = syndromes
-    return ErrorLocator(
-        s1,
-        gf_mul_table(s1, s1, tables),
-        s3 ^ gf_mul_table(s1, s2, tables),
-    )
+    return s1, s2, s3 ^ gf_mul_table(s1, s2, tables)
 
 
-def chien_search(locator: ErrorLocator, tables: GfTables) -> set[int]:
+def chien_search(locator: tuple[int, int, int], tables: GfTables) -> frozenset[int]:
     """Error positions from the nonzero roots u of lambda0 + lambda1*u + lambda2*u^2.
 
+    Only locators with lambda0 != 0 and lambda1 != 0 are accepted; any
+    other raises ValueError.  `decode` forms a locator only when S1 != 0,
+    and then lambda0 = S1 and lambda1 = S2 = S1^2 are both nonzero.
     A root u = alpha^j names position (63 - j) mod 63, the reciprocal
-    exponent; `decode_shortened` itself rejects the positions >= 31.
-    The roots come in closed form, with exponents taken mod 63:
-      - lambda2 = 0: the single root u = lambda0 / lambda1, if both are
-        nonzero;
-      - lambda0 = 0: u = 0 is no field element, which leaves the single
-        root u = lambda1 / lambda2, if lambda1 != 0;
-      - lambda1 = 0: u^2 = lambda0 / lambda2, and squaring is a bijection
-        of GF(64), so log u = 32 * (log lambda0 - log lambda2);
-      - otherwise u = (lambda1 / lambda2) * y turns the locator into
+    exponent, that is -log u mod 63; `decode_shortened` itself rejects
+    the positions >= 31.  The roots come in closed form:
+      - lambda2 = 0: the single root u = lambda0 / lambda1, at position
+        log lambda1 - log lambda0;
+      - lambda2 != 0: u = (lambda1 / lambda2) * y turns the locator into
         y^2 + y = c with c = lambda0 * lambda2 / lambda1^2 != 0, which has
-        two solutions y and y + 1 or none, read from a 64-entry table
-        (Berlekamp, Rumsey & Solomon, Inf. & Control 10, 1967).
-    Those cases cover every nonzero locator, and in each the roots named
-    are all the roots among the 63 nonzero field elements, so the result
-    is exactly the set the 63-step Chien search finds.  The tests compare
-    the two on all 2^18 - 1 nonzero locators.
+        two solutions y and y + 1, both outside {0, 1}, or none, read from
+        a 64-entry table (Berlekamp, Rumsey & Solomon, Inf. & Control 10,
+        1967); the positions are log lambda2 - log lambda1 - log y' for
+        y' = y and y + 1.
+    The two cases cover every accepted locator, and in each the roots
+    named are all the roots among the 63 nonzero field elements, so the
+    result is exactly the set the 63-step Chien search finds.  The tests
+    compare the two on all 63 * 63 * 64 = 254 016 accepted locators.
     """
     l0, l1, l2 = locator
-    if not (l0 or l1 or l2):
-        raise ValueError("all-zero locator has no roots to search")
+    if not (l0 and l1):
+        raise ValueError(f"chien_search needs lambda0 != 0 and lambda1 != 0, got {locator}")
     log = tables.log
     if l2 == 0:
-        if l0 == 0 or l1 == 0:
-            return set()
-        exponents = (log[l0] - log[l1],)
-    elif l0 == 0:
-        if l1 == 0:
-            return set()
-        exponents = (log[l1] - log[l2],)
-    elif l1 == 0:
-        exponents = (_INVERSE_OF_2 * (log[l0] - log[l2]),)
-    else:
-        y = _QUADRATIC_ROOT.get(tables.antilog[(log[l0] + log[l2] - 2 * log[l1]) % GROUP_ORDER])
-        if y is None:
-            return set()
-        scale = log[l1] - log[l2]
-        exponents = (scale + log[y], scale + log[y ^ 1])
-    return {-e % GROUP_ORDER for e in exponents}
+        return frozenset(((log[l1] - log[l0]) % GROUP_ORDER,))
+    y = _QUADRATIC_ROOT.get(tables.antilog[(log[l0] + log[l2] - 2 * log[l1]) % GROUP_ORDER])
+    if y is None:
+        return frozenset()
+    scale = log[l2] - log[l1]
+    return frozenset(((scale - log[y]) % GROUP_ORDER, (scale - log[y ^ 1]) % GROUP_ORDER))
 
 
 def apply_correction(received: int, positions) -> int:
@@ -182,19 +152,19 @@ def decode(received: int, tables: GfTables) -> DecodeOutcome:
          else UNCORRECTABLE.
     """
     syndromes = compute_syndromes(received, tables)
-    if syndromes == _ZERO_SYNDROMES:
+    if syndromes == (0, 0, 0):
         return DecodeOutcome(DecodeStatus.NO_ERROR, frozenset(), received)
-    if syndromes.s1 == 0:
+    if syndromes[0] == 0:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     locator = solve_locator(syndromes, tables)
-    degree = 2 if locator.lambda2 else 1
+    degree = 2 if locator[2] else 1
     positions = chien_search(locator, tables)
     if len(positions) != degree:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     corrected = apply_correction(received, positions)
-    if compute_syndromes(corrected, tables) != _ZERO_SYNDROMES:
+    if compute_syndromes(corrected, tables) != (0, 0, 0):
         raise RuntimeError(f"corrected word {corrected:#x} failed the zero-syndrome re-check")
-    return DecodeOutcome(DecodeStatus.CORRECTED, frozenset(positions), corrected)
+    return DecodeOutcome(DecodeStatus.CORRECTED, positions, corrected)
 
 
 def decode_shortened(received31: int, tables: GfTables) -> DecodeOutcome:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .gf64 import GfTables
-from .decoder import DecodeOutcome, DecodeStatus, SyndromeSet, compute_syndromes
+from .decoder import DecodeOutcome, DecodeStatus, compute_syndromes
 from .encoder import CODEWORD_BITS
 
 # zero pattern + 63 singles + C(63, 2) pairs
@@ -25,9 +25,10 @@ TABLE_SIZE = 1 + 63 + 1953
 SyndromeTable = dict[int, int]
 
 
-def syndrome_key(syndromes: SyndromeSet) -> int:
+def syndrome_key(syndromes: tuple[int, int, int]) -> int:
     """Pack (S1, S2, S3) into an 18-bit key, S1 in the low 6 bits."""
-    return syndromes.s1 | syndromes.s2 << 6 | syndromes.s3 << 12
+    s1, s2, s3 = syndromes
+    return s1 | s2 << 6 | s3 << 12
 
 
 def build_syndrome_table(tables: GfTables) -> SyndromeTable:

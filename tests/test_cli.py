@@ -419,6 +419,45 @@ def test_ber_subcommand_stdout(capsys, tmp_path):
     assert csv.read_text().splitlines()[1] == out[1]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["ber", "--p", "2", "--frames", "10", "--seed", "1"], "--p probability must be in [0, 1]"),
+    (["ber", "--p", "-0.1", "--frames", "10", "--seed", "1"], "--p probability must be in [0, 1]"),
+    (["ber", "--p", "nan", "--frames", "10", "--seed", "1"], "--p probability must be in [0, 1]"),
+    (["ber", "--p", "0.1", "--frames", "0", "--seed", "1"], "--frames must be at least 1"),
+    (["ber", "--p", "0.1", "--frames", "10", "--seed", "-1"], "--seed must be in 0..2^64-1"),
+    (["ber", "--p", "0.1", "--frames", "10", "--seed", str(1 << 64)], "--seed must be in 0..2^64-1"),
+    (["corrupt", "--weight", "2", "--seed", "-1"], "--seed must be in 0..2^64-1"),
+    (["corrupt", "--weight", "2", "--seed", str(1 << 64)], "--seed must be in 0..2^64-1"),
+], ids=["p-2", "p-negative", "p-nan", "frames-0", "ber-seed-negative", "ber-seed-2^64",
+        "corrupt-seed-negative", "corrupt-seed-2^64"])
+def test_out_of_range_ber_and_seed_values_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                           flags, message):
+    # checked with the usage line before any table is built or output touched
+    monkeypatch.setattr(cli, "build_tables", lambda: pytest.fail("tables were built"))
+    out = tmp_path / "out"
+    if flags[0] == "ber":
+        argv = [*flags, "--csv", str(out)]
+    else:
+        (tmp_path / "c.hex").write_text("0" * 16 + "\n")
+        argv = [*flags, str(tmp_path / "c.hex"), str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
+    assert not out.exists()
+
+
+def test_seed_range_ends_are_accepted(tmp_path, capsys):
+    infile, out = tmp_path / "c.hex", tmp_path / "r.hex"
+    infile.write_text("0" * 16 + "\n")
+    for seed in (0, (1 << 64) - 1):
+        assert main(["ber", "--p", "0.1", "--frames", "10", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(f"0.1,10,{seed},")
+        assert main(["corrupt", "--weight", "2", "--seed", str(seed), str(infile), str(out)]) == 0
+        assert int(out.read_text(), 16).bit_count() == 2
+
+
 def test_tables_subcommand(capsys):
     assert main(["tables"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -8,7 +8,6 @@ from bch6351 import decoder
 from bch6351.channel_sim import SplitMix64
 from bch6351.decoder import (
     DecodeStatus,
-    ErrorLocator,
     apply_correction,
     chien_search,
     compute_syndromes,
@@ -77,15 +76,15 @@ def test_syndrome_linearity(tables):
         sr = compute_syndromes(r, tables)
         se = compute_syndromes(e, tables)
         combined = compute_syndromes(r ^ e, tables)
-        assert combined == (sr.s1 ^ se.s1, sr.s2 ^ se.s2, sr.s3 ^ se.s3)
+        assert combined == tuple(a ^ b for a, b in zip(sr, se))
 
 
 def test_s2_is_square_of_s1(tables):
     rng = SplitMix64(44)
     words = [rng.next_bits(63) for _ in range(1000)] + weight_le2_masks(63)
     for word in words:
-        s = compute_syndromes(word, tables)
-        assert s.s2 == gf_mul_table(s.s1, s.s1, tables)
+        s1, s2, _ = compute_syndromes(word, tables)
+        assert s2 == gf_mul_table(s1, s1, tables)
 
 
 def test_syndromes_reject_oversized_word(tables):
@@ -101,34 +100,35 @@ def test_locator_of_zero_syndromes(tables):
 
 def test_locator_quadratic_term_cancels_for_single_errors(tables):
     for j in range(63):
-        loc = solve_locator(compute_syndromes(1 << j, tables), tables)
-        assert loc.lambda2 == 0
-        assert loc.lambda0 == tables.antilog[j]
+        lambda0, _, lambda2 = solve_locator(compute_syndromes(1 << j, tables), tables)
+        assert lambda2 == 0
+        assert lambda0 == tables.antilog[j]
 
 
 def test_locator_lambda1_is_lambda0_squared(tables):
     rng = SplitMix64(55)
     for _ in range(1000):
-        loc = solve_locator(compute_syndromes(rng.next_bits(63), tables), tables)
-        assert loc.lambda1 == gf_mul_table(loc.lambda0, loc.lambda0, tables)
+        lambda0, lambda1, _ = solve_locator(compute_syndromes(rng.next_bits(63), tables), tables)
+        assert lambda1 == gf_mul_table(lambda0, lambda0, tables)
 
 
 # --- Chien search ---------------------------------------------------------
 
 def direct_chien(locator, tables):
     """Independent evaluation of the locator at every point alpha^j."""
+    lambda0, lambda1, lambda2 = locator
     positions = set()
     for j in range(63):
-        value = locator.lambda0
-        value ^= gf_mul_table(locator.lambda1, tables.antilog[j % 63], tables)
-        value ^= gf_mul_table(locator.lambda2, tables.antilog[2 * j % 63], tables)
+        value = lambda0
+        value ^= gf_mul_table(lambda1, tables.antilog[j % 63], tables)
+        value ^= gf_mul_table(lambda2, tables.antilog[2 * j % 63], tables)
         if value == 0:
             positions.add((63 - j) % 63)
     return positions
 
 
 def test_chien_single_error_at_zero(tables):
-    assert chien_search(ErrorLocator(1, 1, 0), tables) == {0}
+    assert chien_search((1, 1, 0), tables) == {0}
 
 
 def test_chien_every_single_error_position(tables):
@@ -140,23 +140,19 @@ def test_chien_every_single_error_position(tables):
 def test_chien_double_error(tables):
     syndromes = compute_syndromes(1 << 2 | 1 << 5, tables)
     loc = solve_locator(syndromes, tables)
-    assert loc.lambda2 != 0
+    assert loc[2] != 0
     assert chien_search(loc, tables) == {2, 5}
 
 
 def test_chien_iterative_equals_direct(tables):
     rng = SplitMix64(66)
-    seen = 0
-    while seen < 1000:
-        loc = ErrorLocator(rng.next_below(64), rng.next_below(64), rng.next_below(64))
-        if loc == (0, 0, 0):
-            continue
-        seen += 1
+    for _ in range(1000):
+        loc = (1 + rng.next_below(63), 1 + rng.next_below(63), rng.next_below(64))
         assert chien_search(loc, tables) == direct_chien(loc, tables)
 
 
 def locator_roots(tables):
-    """Position mask of every nonzero locator's roots, by enumerating the roots.
+    """Position mask of every locator's roots, by enumerating the roots.
 
     Each (u, lambda1, lambda2) with u != 0 names the one locator with
     lambda0 = lambda1*u + lambda2*u^2 that has u as a root; that root is
@@ -180,15 +176,30 @@ def locator_roots(tables):
 
 
 def test_chien_equals_root_enumeration_on_every_locator(tables):
+    # every locator chien_search accepts: lambda0 != 0 and lambda1 != 0
     roots = locator_roots(tables)
-    for key in range(1, 1 << 18):
-        found = chien_search(ErrorLocator(key & 63, key >> 6 & 63, key >> 12), tables)
-        assert sum(1 << p for p in found) == roots[key], key
+    checked = 0
+    for key in range(1 << 18):
+        lambda0, lambda1 = key & 63, key >> 6 & 63
+        if lambda0 and lambda1:
+            found = chien_search((lambda0, lambda1, key >> 12), tables)
+            assert isinstance(found, frozenset)
+            assert sum(1 << p for p in found) == roots[key], key
+            checked += 1
+    assert checked == 63 * 63 * 64 == 254_016
 
 
-def test_chien_rejects_all_zero_locator(tables):
-    with pytest.raises(ValueError):
-        chien_search(ErrorLocator(0, 0, 0), tables)
+def test_chien_rejects_locators_with_a_zero_low_coefficient(tables):
+    # decode forms no such locator: lambda0 = S1 != 0 and lambda1 = S1^2
+    rejected = 0
+    for key in range(1 << 18):
+        locator = (key & 63, key >> 6 & 63, key >> 12)
+        if locator[0] and locator[1]:
+            continue
+        with pytest.raises(ValueError):
+            chien_search(locator, tables)
+        rejected += 1
+    assert rejected == (1 << 18) - 254_016 == 8128
 
 
 # --- correction -----------------------------------------------------------
@@ -287,8 +298,8 @@ def test_decode_degenerate_syndromes_s1_zero(tables):
     found = False
     for _ in range(5000):
         word = rng.next_bits(63)
-        s = compute_syndromes(word, tables)
-        if s.s1 == 0 and s.s3 != 0:
+        s1, _, s3 = compute_syndromes(word, tables)
+        if s1 == 0 and s3 != 0:
             found = True
             outcome = decode(word, tables)
             assert outcome.status is DecodeStatus.UNCORRECTABLE
