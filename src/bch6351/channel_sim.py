@@ -209,24 +209,24 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
     the BSC with the flip mask f drawn from sub-seed 2i+1.  Decoding is
     linear: decode(c ^ f) and decode(f) see the same syndromes and name
     the same estimated error ê, so the delivered message differs from the
-    sent one by ((f ^ ê) >> 12) & mask, the message bits of
-    decode(f).corrected, or by (f >> 12) & mask when the frame is
-    UNCORRECTABLE.  Neither depends on the message, so it is never drawn
-    or encoded, and a clean frame (f = 0) is skipped.  The counters equal
-    those of the explicit encode -> corrupt -> decode run.
+    sent one by (f ^ ê) >> 12, the message bits of decode(f).corrected,
+    or by f >> 12 when the frame is UNCORRECTABLE (both words are below
+    2^63, so the shift leaves the 51 message bits).  Neither depends on
+    the message, so it is never drawn or encoded, and a clean frame
+    (f = 0) is skipped.  The counters equal those of the explicit
+    encode -> corrupt -> decode run.
     Identical (p, frames, seed) always produce an identical report, in
     any evaluation order.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
-    message_mask = (1 << MESSAGE_BITS) - 1
     pre_fec = post_fec = uncorrectable = miscorrected = 0
     for i in range(frames):
         flips = bernoulli_mask(p, substream_seed(seed, 2 * i + 1), CODEWORD_BITS)
         if flips == 0:
             continue
         outcome = decode(flips, tables)
-        errors = (flips >> PARITY_BITS) & message_mask
+        errors = flips >> PARITY_BITS
         pre_fec += errors.bit_count()
         if outcome.status is DecodeStatus.UNCORRECTABLE:
             # The received message bits are delivered unrepaired.
@@ -235,7 +235,7 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
                 uncorrectable += 1
         else:
             # outcome.corrected is f ^ ê, the error left after decoding.
-            residual = (outcome.corrected >> PARITY_BITS) & message_mask
+            residual = outcome.corrected >> PARITY_BITS
             if residual:
                 post_fec += residual.bit_count()
                 miscorrected += 1

@@ -59,7 +59,6 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
     tables = build_tables()
-    message_mask = (1 << MESSAGE_BITS) - 1
     uncorrectable = 0
 
     def messages(report) -> Iterator[int | None]:
@@ -70,8 +69,7 @@ def _cmd_decode(args) -> int:
                 message = outcome.corrected
             else:
                 outcome = decode(word, tables)
-                message = None if outcome.corrected is None else \
-                    (outcome.corrected >> PARITY_BITS) & message_mask
+                message = None if outcome.corrected is None else outcome.corrected >> PARITY_BITS
             if outcome.status is DecodeStatus.UNCORRECTABLE:  # message is None
                 uncorrectable += 1
             if report is not None:
@@ -128,12 +126,13 @@ def _cmd_selftest(args) -> int:
     # Both oracle checks read the table; a build that raises fails both.
     oracle_table = functools.cache(lambda: reference_oracle.build_syndrome_table(tables))
 
-    def multipliers() -> tuple[bool, str]:
-        bad = sum(
-            1 for a in range(64) for b in range(64)
-            if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)
-        )
+    def mismatches(inputs, ours, reference) -> tuple[bool, str]:
+        bad = sum(1 for x in inputs if ours(x) != reference(x))
         return bad == 0, f"{bad} mismatches"
+
+    def multipliers() -> tuple[bool, str]:
+        pairs = ((a, b) for a in range(64) for b in range(64))
+        return mismatches(pairs, lambda ab: gf_mul_mse(*ab), lambda ab: gf_mul_table(*ab, tables))
 
     # The syndromes and the parity are XORs of one table entry per input
     # byte.  The inputs with one nonzero byte read every entry (entry 0 of
@@ -154,17 +153,16 @@ def _cmd_selftest(args) -> int:
     words = single_byte_words(CODEWORD_BITS)
 
     def syndromes() -> tuple[bool, str]:
-        bad = sum(1 for w in words if compute_syndromes(w, tables) != definitional_syndromes(w))
-        return bad == 0, f"{bad} mismatches"
+        return mismatches(words, lambda w: compute_syndromes(w, tables), definitional_syndromes)
 
     messages = single_byte_words(MESSAGE_BITS)
 
+    def encoded(message: int) -> tuple[int, tuple[int, int, int]]:
+        codeword = encode(message)
+        return codeword, compute_syndromes(codeword, tables)
+
     def encoder() -> tuple[bool, str]:
-        bad = 0
-        for m in messages:
-            codeword = encode(m)
-            bad += codeword != encode_lfsr(m) or compute_syndromes(codeword, tables) != (0, 0, 0)
-        return bad == 0, f"{bad} mismatches"
+        return mismatches(messages, encoded, lambda m: (encode_lfsr(m), (0, 0, 0)))
 
     def distinctness() -> tuple[bool, str]:
         table = oracle_table()
@@ -217,31 +215,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", help="message frames -> codeword frames")
-    p.add_argument("--short", action="store_true", help="use the (31,19) shortened code")
-    p.add_argument("infile")
-    p.add_argument("outfile")
+    # encode, decode and corrupt all read frames from IN and write frames to OUT.
+    frames = argparse.ArgumentParser(add_help=False)
+    frames.add_argument("--short", action="store_true", help="use the (31,19) shortened code")
+    frames.add_argument("infile")
+    frames.add_argument("outfile")
+
+    p = sub.add_parser("encode", parents=[frames], help="message frames -> codeword frames")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", help="codeword frames -> message frames")
-    p.add_argument("--short", action="store_true", help="use the (31,19) shortened code")
+    p = sub.add_parser("decode", parents=[frames], help="codeword frames -> message frames")
     p.add_argument("--report", metavar="CSV", help="write per-frame status CSV")
     p.add_argument("--allow-errors", action="store_true",
                    help="exit 0 even if some frames were uncorrectable")
-    p.add_argument("infile")
-    p.add_argument("outfile")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("corrupt", help="inject reproducible channel errors")
+    p = sub.add_parser("corrupt", parents=[frames], help="inject reproducible channel errors")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--weight", type=int, help="flip exactly W random bits per frame")
     mode.add_argument("--bsc", type=float, metavar="P",
                       help="flip each bit independently with probability P")
     p.add_argument("--seed", type=int, required=True,
                    help="master seed in 0..2^64-1 (per-frame sub-seeded)")
-    p.add_argument("--short", action="store_true", help="operate on (31,19) frames")
-    p.add_argument("infile")
-    p.add_argument("outfile")
     p.set_defaults(func=_cmd_corrupt)
 
     p = sub.add_parser("ber", help="Monte Carlo BER/FER measurement")

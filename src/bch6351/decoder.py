@@ -28,7 +28,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .gf64 import GROUP_ORDER, GfTables, build_tables, byte_tables, gf_mul_table
-from .encoder import CODEWORD_BITS, PARITY_BITS, SHORT_CODEWORD_BITS, SHORT_PAYLOAD_BITS
+from .encoder import CODEWORD_BITS, PARITY_BITS, SHORT_CODEWORD_BITS
 
 
 class DecodeStatus(Enum):
@@ -181,5 +181,5 @@ def decode_shortened(received31: int, tables: GfTables) -> DecodeOutcome:
         return outcome
     if any(p >= SHORT_CODEWORD_BITS for p in outcome.positions):
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
-    payload = (outcome.corrected >> PARITY_BITS) & ((1 << SHORT_PAYLOAD_BITS) - 1)
-    return DecodeOutcome(outcome.status, outcome.positions, payload)
+    # The corrected word is below 2^31, so the shift leaves the 19-bit payload.
+    return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)

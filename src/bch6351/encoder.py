@@ -13,8 +13,10 @@ alpha and alpha^3 over GF(2^6):
     g(x) = (1 + x + x^6)(1 + x + x^2 + x^4 + x^6)
          = 1 + x^3 + x^4 + x^5 + x^8 + x^10 + x^12
 
-`compute_generator` re-derives it from conjugacy classes; the tests
-require the derivation and the constant to agree.
+`compute_generator` re-derives it as one product of (x + alpha^e) over
+the union of the conjugacy classes of alpha and alpha^3; the tests
+require the derivation, the constant and the product of the two minimal
+polynomials to agree.
 
 `encode` computes the parity from byte-indexed tables and is the one the
 CLI and `encode_shortened` use.  `encode_lfsr` is the paper's bit-serial
@@ -24,7 +26,7 @@ stay as references that `encode` is certified against.
 
 from __future__ import annotations
 
-from .gf64 import GfTables, build_tables, byte_tables, gf2_mul, gf2_mod, gf_mul_table, GROUP_ORDER
+from .gf64 import build_tables, byte_tables, gf2_mod, gf_mul_table, GROUP_ORDER
 
 MESSAGE_BITS = 51
 PARITY_BITS = 12
@@ -47,22 +49,19 @@ _PARITY_TABLES = byte_tables(
 )
 
 
-def _conjugacy_class(exponent: int) -> set[int]:
-    """Exponent orbit of alpha^exponent under squaring (doubling mod 63)."""
-    cls: set[int] = set()
-    e = exponent % GROUP_ORDER
-    while e not in cls:
-        cls.add(e)
-        e = (2 * e) % GROUP_ORDER
-    return cls
+def compute_generator(t: int) -> int:
+    """Generator polynomial for the t-error-correcting length-63 code.
 
-
-def _minimal_polynomial(exponents: set[int], tables: GfTables) -> int:
-    """Product of (x + alpha^e) over one conjugacy class.
-
-    Intermediate coefficients live in GF(64); the closed class guarantees
-    the result collapses to GF(2).
+    The product of (x + alpha^e) over the union of the conjugacy classes
+    of 1 .. 2t, the exponent orbits under doubling mod 63 (Lin & Costello,
+    Error Control Coding, 2004, ch. 6).  Intermediate coefficients live in
+    GF(64); the union of closed classes makes the result collapse to GF(2).
     """
+    if t not in (1, 2):
+        raise ValueError(f"unsupported correction capability t={t}")
+    tables = build_tables()
+    # 2^6 = 1 mod 63, so the class of e is e * 2^k mod 63 for k = 0..5.
+    exponents = {(e << k) % GROUP_ORDER for e in range(1, 2 * t + 1) for k in range(6)}
     coeffs = [1]
     for e in sorted(exponents):
         root = tables.antilog[e]
@@ -71,31 +70,11 @@ def _minimal_polynomial(exponents: set[int], tables: GfTables) -> int:
             nxt[i + 1] ^= c
             nxt[i] ^= gf_mul_table(c, root, tables)
         coeffs = nxt
-    mask = 0
+    gen = 0
     for i, c in enumerate(coeffs):
         if c not in (0, 1):
-            raise AssertionError(f"non-binary coefficient {c} in minimal polynomial")
-        mask |= c << i
-    return mask
-
-
-def compute_generator(t: int) -> int:
-    """Generator polynomial for the t-error-correcting length-63 code.
-
-    Collects the conjugacy classes of alpha^1 .. alpha^(2t), builds each
-    class's minimal polynomial, and multiplies them over GF(2).
-    """
-    if t not in (1, 2):
-        raise ValueError(f"unsupported correction capability t={t}")
-    tables = build_tables()
-    covered: set[int] = set()
-    gen = 1
-    for e in range(1, 2 * t + 1):
-        if e in covered:
-            continue
-        cls = _conjugacy_class(e)
-        covered |= cls
-        gen = gf2_mul(gen, _minimal_polynomial(cls, tables))
+            raise AssertionError(f"non-binary coefficient {c} in the generator polynomial")
+        gen |= c << i
     return gen
 
 

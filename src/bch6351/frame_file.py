@@ -87,26 +87,27 @@ def replacing(path: str) -> Iterator:
     The content goes to a new file in the target's directory, which
     os.replace then moves over the target, so readers see the old file
     or the whole new one.  On an exception the new file is removed and
-    the target is left as it was.  A symlink is followed: the link stays
-    and the file it names is replaced.  A target that exists and is not a
-    regular file (a FIFO, a device) cannot be replaced and is written in
-    place.
+    the target is left as it was.  A symlink to a regular file is
+    followed: the link stays and the file it names is replaced.  A target
+    that exists and is not a regular file (a FIFO, a device, or a link to
+    one such as /dev/stdout or /dev/fd/N on a pipe) cannot be replaced
+    and is written in place, through the path as given.
 
     Replacing, unlike rewriting in place, needs write access to the
     target's directory, gives other hard links to the target the old
     content, and makes the new file owned by the current user.
     """
-    target = os.path.realpath(path)
+    # Stat and open the path as given, so an error names it: realpath turns
+    # /dev/stdout on a pipe into /proc/<pid>/fd/pipe:[...], which does not exist.
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    except OSError as exc:  # named by the path given, not the resolved one
-        raise OSError(exc.errno, exc.strerror, path) from None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(target, "w", encoding="ascii") as fh:
+        with open(path, "w", encoding="ascii") as fh:
             yield fh
         return
+    target = os.path.realpath(path)
     directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
     try:

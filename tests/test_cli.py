@@ -316,6 +316,26 @@ def test_fifo_output_is_written_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["m.hex", "pipe"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("command", [
+    ["encode", "m.hex"],
+    ["ber", "--p", "0.1", "--frames", "10", "--seed", "1", "--csv"],
+], ids=["encode", "ber-csv"])
+def test_dev_stdout_on_a_pipe_is_written_in_place(tmp_path, monkeypatch, command):
+    # /dev/stdout links to the pipe through /proc/self/fd/1, whose resolved
+    # name does not exist; the pipe must get what a regular OUT gets
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", random_messages(5, seed=9))
+    result = subprocess.run(
+        [sys.executable, "-m", "bch6351", *command, "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    assert main([*command, "out"]) == 0
+    assert result.stdout == (tmp_path / "out").read_bytes()
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 def test_decode_memory_does_not_grow_with_the_file(tmp_path, newline):
     # frames are streamed, so the traced peak of a decode --report holds
@@ -500,6 +520,16 @@ def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, ent
     assert [line[:4] for line in lines[:5]] == verdicts
     assert lines[4].startswith(
         f"FAIL  decoder/oracle coset certificate (4096 cosets): raised {raised}")
+    assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
+
+
+def test_selftest_reports_one_wrong_product(monkeypatch, capsys):
+    correct = cli.gf_mul_mse
+    monkeypatch.setattr(cli, "gf_mul_mse", lambda a, b: correct(a, b) ^ (a == 5 and b == 9))
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL  multiplier equivalence (4096 pairs): 1 mismatches (")
+    assert [line[:4] for line in lines[1:5]] == ["PASS"] * 4
     assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
 
 
