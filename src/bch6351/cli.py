@@ -18,7 +18,8 @@ decode's --report, ber's --csv) is written to a new file beside it and
 moved over it only when the command succeeds, so a failing run leaves
 the old file, or none, never a partial one.  A symlinked output keeps
 its link and its target is replaced; an output that exists and is not a
-regular file (a FIFO, a device) is written in place.
+regular file (a FIFO, a device) is written in place, and /dev/stdout,
+/dev/stderr and /dev/fd/N through the descriptor they name.
 
 Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 --allow-errors) or the self-test failed; 2 on usage or parse errors, or
@@ -58,18 +59,14 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
-    tables = build_tables()
+    decoder, shift = (decode_shortened, 0) if args.short else (decode, PARITY_BITS)
     uncorrectable = 0
 
     def messages(report) -> Iterator[int | None]:
         nonlocal uncorrectable
         for index, word in enumerate(received):
-            if args.short:
-                outcome = decode_shortened(word, tables)
-                message = outcome.corrected
-            else:
-                outcome = decode(word, tables)
-                message = None if outcome.corrected is None else outcome.corrected >> PARITY_BITS
+            outcome = decoder(word)
+            message = None if outcome.corrected is None else outcome.corrected >> shift
             if outcome.status is DecodeStatus.UNCORRECTABLE:  # message is None
                 uncorrectable += 1
             if report is not None:

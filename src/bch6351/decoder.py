@@ -20,6 +20,11 @@ a codeword are corrected to it, words outside every radius-2 ball come
 back Uncorrectable, and words inside a wrong ball miscorrect (unavoidable
 for any distance-2 decoder).  Corrected outputs always re-verify to zero
 syndromes.
+
+The field is fixed: every stage reads the tables built here at import.
+The `tables` argument of `compute_syndromes`, `decode` and
+`decode_shortened` is optional and read by no function here, so a decode
+depends on the received word alone.
 """
 
 from __future__ import annotations
@@ -64,13 +69,12 @@ _B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7 = byte_tables([
 _QUADRATIC_ROOT = {gf_mul_table(y, y, _FIELD) ^ y: y for y in range(64)}
 
 
-def compute_syndromes(received: int, tables: GfTables) -> tuple[int, int, int]:
+def compute_syndromes(received: int, tables: GfTables | None = None) -> tuple[int, int, int]:
     """Evaluate the received polynomial at alpha, alpha^2, alpha^3: (S1, S2, S3).
 
     S_i is the XOR of alpha^(i*j) over the set bit positions j.  The
     syndromes are linear in the received bits, so all three come from one
-    lookup per byte into tables built at import for the fixed field;
-    `tables` is accepted for the callers' signature and not read.
+    lookup per byte into tables built at import for the fixed field.
     """
     if received >> CODEWORD_BITS:
         raise ValueError("received word exceeds 63 bits")
@@ -81,7 +85,7 @@ def compute_syndromes(received: int, tables: GfTables) -> tuple[int, int, int]:
     return packed & 63, packed >> 6 & 63, packed >> 12
 
 
-def solve_locator(syndromes: tuple[int, int, int], tables: GfTables) -> tuple[int, int, int]:
+def solve_locator(syndromes: tuple[int, int, int]) -> tuple[int, int, int]:
     """Closed-form locator coefficients (lambda0, lambda1, lambda2), no field inversions.
 
     The inversion-less Berlekamp-Massey recursion for t = 2 ends at
@@ -90,10 +94,10 @@ def solve_locator(syndromes: tuple[int, int, int], tables: GfTables) -> tuple[in
     the quadratic term cancels and the locator degree collapses to 1.
     """
     s1, s2, s3 = syndromes
-    return s1, s2, s3 ^ gf_mul_table(s1, s2, tables)
+    return s1, s2, s3 ^ gf_mul_table(s1, s2, _FIELD)
 
 
-def chien_search(locator: tuple[int, int, int], tables: GfTables) -> frozenset[int]:
+def chien_search(locator: tuple[int, int, int]) -> frozenset[int]:
     """Error positions from the nonzero roots u of lambda0 + lambda1*u + lambda2*u^2.
 
     Only locators with lambda0 != 0 and lambda1 != 0 are accepted; any
@@ -118,10 +122,10 @@ def chien_search(locator: tuple[int, int, int], tables: GfTables) -> frozenset[i
     l0, l1, l2 = locator
     if not (l0 and l1):
         raise ValueError(f"chien_search needs lambda0 != 0 and lambda1 != 0, got {locator}")
-    log = tables.log
+    log = _FIELD.log
     if l2 == 0:
         return frozenset(((log[l1] - log[l0]) % GROUP_ORDER,))
-    y = _QUADRATIC_ROOT.get(tables.antilog[(log[l0] + log[l2] - 2 * log[l1]) % GROUP_ORDER])
+    y = _QUADRATIC_ROOT.get(_FIELD.antilog[(log[l0] + log[l2] - 2 * log[l1]) % GROUP_ORDER])
     if y is None:
         return frozenset()
     scale = log[l2] - log[l1]
@@ -138,7 +142,7 @@ def apply_correction(received: int, positions) -> int:
     return flipped
 
 
-def decode(received: int, tables: GfTables) -> DecodeOutcome:
+def decode(received: int, tables: GfTables | None = None) -> DecodeOutcome:
     """Full decode of a 63-bit received word.
 
     Classification:
@@ -151,23 +155,23 @@ def decode(received: int, tables: GfTables) -> DecodeOutcome:
          syndromes, a failed re-check raising RuntimeError), anything
          else UNCORRECTABLE.
     """
-    syndromes = compute_syndromes(received, tables)
+    syndromes = compute_syndromes(received)
     if syndromes == (0, 0, 0):
         return DecodeOutcome(DecodeStatus.NO_ERROR, frozenset(), received)
     if syndromes[0] == 0:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
-    locator = solve_locator(syndromes, tables)
+    locator = solve_locator(syndromes)
     degree = 2 if locator[2] else 1
-    positions = chien_search(locator, tables)
+    positions = chien_search(locator)
     if len(positions) != degree:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     corrected = apply_correction(received, positions)
-    if compute_syndromes(corrected, tables) != (0, 0, 0):
+    if compute_syndromes(corrected) != (0, 0, 0):
         raise RuntimeError(f"corrected word {corrected:#x} failed the zero-syndrome re-check")
     return DecodeOutcome(DecodeStatus.CORRECTED, positions, corrected)
 
 
-def decode_shortened(received31: int, tables: GfTables) -> DecodeOutcome:
+def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeOutcome:
     """Decode a 31-bit shortened word; `corrected` is the 19-bit payload.
 
     The 32 untransmitted message positions (codeword bits 31..62) are
@@ -176,7 +180,7 @@ def decode_shortened(received31: int, tables: GfTables) -> DecodeOutcome:
     """
     if received31 >> SHORT_CODEWORD_BITS:
         raise ValueError("shortened word exceeds 31 bits")
-    outcome = decode(received31, tables)
+    outcome = decode(received31)
     if outcome.status is DecodeStatus.UNCORRECTABLE:
         return outcome
     if any(p >= SHORT_CODEWORD_BITS for p in outcome.positions):

@@ -9,6 +9,7 @@ peak memory of the commands that never read a frame file.
 from __future__ import annotations
 
 import contextlib
+import errno
 import os
 import re
 import stat
@@ -22,6 +23,7 @@ class FrameFileError(Exception):
 
 
 _HEX_FRAME = {width: re.compile(f"[0-9a-fA-F]{{{width}}}") for width in (8, 16)}
+_DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
 
 
 def _frame_width(short: bool) -> int:
@@ -89,14 +91,26 @@ def replacing(path: str) -> Iterator:
     or the whole new one.  On an exception the new file is removed and
     the target is left as it was.  A symlink to a regular file is
     followed: the link stays and the file it names is replaced.  A target
-    that exists and is not a regular file (a FIFO, a device, or a link to
-    one such as /dev/stdout or /dev/fd/N on a pipe) cannot be replaced
-    and is written in place, through the path as given.
+    that exists and is not a regular file (a FIFO, a device) cannot be
+    replaced and is written in place, through the path as given.
+    /dev/stdout, /dev/stderr and /dev/fd/N are written, not atomically,
+    through a duplicate of descriptor 1, 2 or N, so under >> the output
+    is appended and under > the file holds exactly the output; a
+    descriptor that is not open raises OSError naming the path.
 
     Replacing, unlike rewriting in place, needs write access to the
     target's directory, gives other hard links to the target the old
     content, and makes the new file owned by the current user.
     """
+    named = _DESCRIPTOR_PATH.fullmatch(path)
+    if named:  # opening the path by name would truncate a file that >> opened
+        try:
+            fd = os.dup(1 if named[1] else 2 if named[2] else int(named[3]))
+        except (OSError, OverflowError, ValueError):
+            raise OSError(errno.EBADF, "not an open descriptor", path) from None
+        with open(fd, "w", encoding="ascii") as fh:
+            yield fh
+        return
     # Stat and open the path as given, so an error names it: realpath turns
     # /dev/stdout on a pipe into /proc/<pid>/fd/pipe:[...], which does not exist.
     try:

@@ -12,8 +12,7 @@ and a combinational one built from fixed partial-product expressions
 checks this exhaustively.
 
 Binary polynomials over GF(2) (as opposed to field elements) are also
-plain ints, bit i = coefficient of x^i, with no width limit.  The zero
-polynomial has degree -1.
+plain ints, bit i = coefficient of x^i, with no width limit.
 """
 
 from __future__ import annotations
@@ -87,11 +86,6 @@ def gf_mul_mse(a: int, b: int) -> int:
 
 # --- binary (GF(2)) polynomial helpers -----------------------------------
 
-def gf2_degree(p: int) -> int:
-    """Degree of a binary polynomial; -1 for the zero polynomial."""
-    return p.bit_length() - 1
-
-
 def gf2_mul(p: int, q: int) -> int:
     """Carry-less product of two binary polynomials."""
     acc = 0
@@ -107,9 +101,9 @@ def gf2_mod(p: int, q: int) -> int:
     """Remainder of binary polynomial long division p mod q."""
     if q == 0:
         raise ZeroDivisionError("polynomial division by zero")
-    dq = gf2_degree(q)
-    while gf2_degree(p) >= dq:
-        p ^= q << (gf2_degree(p) - dq)
+    dq = q.bit_length()
+    while p.bit_length() >= dq:
+        p ^= q << (p.bit_length() - dq)
     return p
 
 

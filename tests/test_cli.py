@@ -316,24 +316,70 @@ def test_fifo_output_is_written_in_place(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["m.hex", "pipe"]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-@pytest.mark.parametrize("command", [
+def run_module(argv, **kwargs) -> subprocess.CompletedProcess:
+    """Run `python -m bch6351 argv` on this checkout's package."""
+    return subprocess.run(
+        [sys.executable, "-m", "bch6351", *argv], stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
+        **kwargs,
+    )
+
+
+# Two commands that write one output, OUT or --csv, given without that last argument.
+ONE_OUTPUT = pytest.mark.parametrize("command", [
     ["encode", "m.hex"],
     ["ber", "--p", "0.1", "--frames", "10", "--seed", "1", "--csv"],
 ], ids=["encode", "ber-csv"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@ONE_OUTPUT
 def test_dev_stdout_on_a_pipe_is_written_in_place(tmp_path, monkeypatch, command):
     # /dev/stdout links to the pipe through /proc/self/fd/1, whose resolved
     # name does not exist; the pipe must get what a regular OUT gets
     monkeypatch.chdir(tmp_path)
     write_messages(tmp_path / "m.hex", random_messages(5, seed=9))
-    result = subprocess.run(
-        [sys.executable, "-m", "bch6351", *command, "/dev/stdout"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
-    )
+    result = run_module([*command, "/dev/stdout"], stdout=subprocess.PIPE)
     assert result.returncode == 0, result.stderr
     assert main([*command, "out"]) == 0
     assert result.stdout == (tmp_path / "out").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("setup", ["stdout-append", "fd-append", "stdout-truncate"])
+@ONE_OUTPUT
+def test_descriptor_output_on_a_file_is_written_through_the_descriptor(
+        tmp_path, monkeypatch, command, setup):
+    # As under `>> log` or `> log`: /dev/stdout and /dev/fd/N name a file
+    # that the caller opened, so the output goes through that descriptor.
+    # Replacing the file, or reopening it by name, would lose its old bytes.
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", random_messages(5, seed=9))
+    assert main([*command, "out"]) == 0
+    log = tmp_path / "log"
+    log.write_bytes(b"earlier line\n")
+    with open(log, "wb" if setup == "stdout-truncate" else "ab") as fh:
+        if setup == "fd-append":
+            result = run_module([*command, f"/dev/fd/{fh.fileno()}"], pass_fds=(fh.fileno(),))
+        else:
+            result = run_module([*command, "/dev/stdout"], stdout=fh)
+    assert result.returncode == 0, result.stderr
+    earlier = b"" if setup == "stdout-truncate" else b"earlier line\n"
+    assert log.read_bytes() == earlier + (tmp_path / "out").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["log", "m.hex", "out"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+@ONE_OUTPUT
+def test_closed_descriptor_output_is_an_error_naming_it(tmp_path, monkeypatch, command):
+    # the child inherits only descriptors 0, 1 and 2, so 9 is not open
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", random_messages(5, seed=9))
+    result = run_module([*command, "/dev/fd/9"], stdout=subprocess.PIPE)
+    assert result.returncode == 2
+    assert b"/dev/fd/9" in result.stderr
+    assert result.stdout == b""
+    assert os.listdir(tmp_path) == ["m.hex"]
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
@@ -448,8 +494,11 @@ def test_ber_subcommand_stdout(capsys, tmp_path):
     (["ber", "--p", "0.1", "--frames", "10", "--seed", str(1 << 64)], "--seed must be in 0..2^64-1"),
     (["corrupt", "--weight", "2", "--seed", "-1"], "--seed must be in 0..2^64-1"),
     (["corrupt", "--weight", "2", "--seed", str(1 << 64)], "--seed must be in 0..2^64-1"),
+    (["corrupt", "--bsc", "2", "--seed", "1"], "--bsc probability must be in [0, 1]"),
+    (["corrupt", "--bsc", "-0.1", "--seed", "1"], "--bsc probability must be in [0, 1]"),
+    (["corrupt", "--bsc", "nan", "--seed", "1"], "--bsc probability must be in [0, 1]"),
 ], ids=["p-2", "p-negative", "p-nan", "frames-0", "ber-seed-negative", "ber-seed-2^64",
-        "corrupt-seed-negative", "corrupt-seed-2^64"])
+        "corrupt-seed-negative", "corrupt-seed-2^64", "bsc-2", "bsc-negative", "bsc-nan"])
 def test_out_of_range_ber_and_seed_values_are_usage_errors(tmp_path, capsys, monkeypatch,
                                                            flags, message):
     # checked with the usage line before any table is built or output touched

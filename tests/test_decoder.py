@@ -17,7 +17,7 @@ from bch6351.decoder import (
 )
 from bch6351.encoder import MESSAGE_BITS, PARITY_BITS, encode_lfsr, encode_shortened
 from bch6351.gf64 import gf_mul_table
-from bch6351.reference_oracle import TABLE_SIZE, brute_force_decode
+from bch6351.reference_oracle import TABLE_SIZE, brute_force_decode, syndrome_key
 
 
 def weight_le2_masks(n):
@@ -95,12 +95,12 @@ def test_syndromes_reject_oversized_word(tables):
 # --- locator --------------------------------------------------------------
 
 def test_locator_of_zero_syndromes(tables):
-    assert solve_locator(compute_syndromes(0, tables), tables) == (0, 0, 0)
+    assert solve_locator(compute_syndromes(0, tables)) == (0, 0, 0)
 
 
 def test_locator_quadratic_term_cancels_for_single_errors(tables):
     for j in range(63):
-        lambda0, _, lambda2 = solve_locator(compute_syndromes(1 << j, tables), tables)
+        lambda0, _, lambda2 = solve_locator(compute_syndromes(1 << j, tables))
         assert lambda2 == 0
         assert lambda0 == tables.antilog[j]
 
@@ -108,7 +108,7 @@ def test_locator_quadratic_term_cancels_for_single_errors(tables):
 def test_locator_lambda1_is_lambda0_squared(tables):
     rng = SplitMix64(55)
     for _ in range(1000):
-        lambda0, lambda1, _ = solve_locator(compute_syndromes(rng.next_bits(63), tables), tables)
+        lambda0, lambda1, _ = solve_locator(compute_syndromes(rng.next_bits(63), tables))
         assert lambda1 == gf_mul_table(lambda0, lambda0, tables)
 
 
@@ -127,28 +127,28 @@ def direct_chien(locator, tables):
     return positions
 
 
-def test_chien_single_error_at_zero(tables):
-    assert chien_search((1, 1, 0), tables) == {0}
+def test_chien_single_error_at_zero():
+    assert chien_search((1, 1, 0)) == {0}
 
 
 def test_chien_every_single_error_position(tables):
     for j in range(63):
-        loc = solve_locator(compute_syndromes(1 << j, tables), tables)
-        assert chien_search(loc, tables) == {j}
+        loc = solve_locator(compute_syndromes(1 << j, tables))
+        assert chien_search(loc) == {j}
 
 
 def test_chien_double_error(tables):
     syndromes = compute_syndromes(1 << 2 | 1 << 5, tables)
-    loc = solve_locator(syndromes, tables)
+    loc = solve_locator(syndromes)
     assert loc[2] != 0
-    assert chien_search(loc, tables) == {2, 5}
+    assert chien_search(loc) == {2, 5}
 
 
 def test_chien_iterative_equals_direct(tables):
     rng = SplitMix64(66)
     for _ in range(1000):
         loc = (1 + rng.next_below(63), 1 + rng.next_below(63), rng.next_below(64))
-        assert chien_search(loc, tables) == direct_chien(loc, tables)
+        assert chien_search(loc) == direct_chien(loc, tables)
 
 
 def locator_roots(tables):
@@ -182,14 +182,14 @@ def test_chien_equals_root_enumeration_on_every_locator(tables):
     for key in range(1 << 18):
         lambda0, lambda1 = key & 63, key >> 6 & 63
         if lambda0 and lambda1:
-            found = chien_search((lambda0, lambda1, key >> 12), tables)
+            found = chien_search((lambda0, lambda1, key >> 12))
             assert isinstance(found, frozenset)
             assert sum(1 << p for p in found) == roots[key], key
             checked += 1
     assert checked == 63 * 63 * 64 == 254_016
 
 
-def test_chien_rejects_locators_with_a_zero_low_coefficient(tables):
+def test_chien_rejects_locators_with_a_zero_low_coefficient():
     # decode forms no such locator: lambda0 = S1 != 0 and lambda1 = S1^2
     rejected = 0
     for key in range(1 << 18):
@@ -197,7 +197,7 @@ def test_chien_rejects_locators_with_a_zero_low_coefficient(tables):
         if locator[0] and locator[1]:
             continue
         with pytest.raises(ValueError):
-            chien_search(locator, tables)
+            chien_search(locator)
         rejected += 1
     assert rejected == (1 << 18) - 254_016 == 8128
 
@@ -349,6 +349,27 @@ def test_decode_shortened_root_in_padding_is_uncorrectable(tables):
             assert outcome.corrected is None
             break
     assert found
+
+
+def test_decode_shortened_equals_restricted_oracle_on_every_coset(tables, syndrome_table):
+    # The words below 2^12 are one per coset of the shortened code too.  The
+    # reference corrects exactly the weight <= 2 patterns inside the 31 sent
+    # bits, taken from the oracle's patterns, never from the algebraic path.
+    inside = {key: mask for key, mask in syndrome_table.items() if mask >> 31 == 0}
+    disagreements = correctable = 0
+    for word in range(1 << PARITY_BITS):
+        mask = inside.get(syndrome_key(compute_syndromes(word, tables)))
+        if mask is None:
+            want = (DecodeStatus.UNCORRECTABLE, frozenset(), None)
+        else:
+            status = DecodeStatus.CORRECTED if mask else DecodeStatus.NO_ERROR
+            positions = frozenset(i for i in range(31) if mask >> i & 1)
+            want = (status, positions, (word ^ mask) >> PARITY_BITS)
+        outcome = decode_shortened(word, tables)
+        disagreements += tuple(outcome) != want
+        correctable += outcome.status is not DecodeStatus.UNCORRECTABLE
+    assert disagreements == 0
+    assert correctable == len(inside) == 1 + 31 + 465 == 497
 
 
 def test_decode_shortened_rejects_oversized(tables):

@@ -7,7 +7,6 @@ from bch6351.gf64 import (
     LOG_ZERO,
     build_tables,
     format_antilog_table,
-    gf2_degree,
     gf2_mod,
     gf2_mul,
     gf_mul_mse,
@@ -161,9 +160,6 @@ def test_tables_rebuild_identical(tables):
 
 
 def test_gf2_poly_helpers():
-    assert gf2_degree(0) == -1
-    assert gf2_degree(1) == 0
-    assert gf2_degree(0b1000011) == 6
     assert gf2_mul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2+1
     assert gf2_mod(0b101, 0b11) == 0
     with pytest.raises(ZeroDivisionError):
