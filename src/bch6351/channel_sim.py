@@ -202,7 +202,8 @@ def random_error_pattern(weight: int, n: int, seed: int) -> int:
     return mask
 
 
-def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> BerReport:
+def run_ber_experiment(p: float, frames: int, seed: int,
+                       tables: GfTables | None = None) -> BerReport:
     """Measure pre/post-FEC error rates over `frames` random frames.
 
     Frame i sends a 51-bit message drawn from sub-seed 2i, encoded, over
@@ -216,7 +217,8 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
     (f = 0) is skipped.  The counters equal those of the explicit
     encode -> corrupt -> decode run.
     Identical (p, frames, seed) always produce an identical report, in
-    any evaluation order.
+    any evaluation order.  The optional `tables` is not read: the
+    decoder works in its one fixed field.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
@@ -225,7 +227,7 @@ def run_ber_experiment(p: float, frames: int, seed: int, tables: GfTables) -> Be
         flips = bernoulli_mask(p, substream_seed(seed, 2 * i + 1), CODEWORD_BITS)
         if flips == 0:
             continue
-        outcome = decode(flips, tables)
+        outcome = decode(flips)
         errors = flips >> PARITY_BITS
         pre_fec += errors.bit_count()
         if outcome.status is DecodeStatus.UNCORRECTABLE:

@@ -12,14 +12,15 @@ reserved bit is a parse error, reported with its file and line number.
 Decode writes an all-X sentinel line for uncorrectable frames so frame
 counts stay aligned across pipeline stages.
 
-Frames are streamed: each command reads, transforms and writes one frame
-at a time, so its memory does not grow with the file.  An output (OUT,
-decode's --report, ber's --csv) is written to a new file beside it and
-moved over it only when the command succeeds, so a failing run leaves
-the old file, or none, never a partial one.  A symlinked output keeps
-its link and its target is replaced; an output that exists and is not a
-regular file (a FIFO, a device) is written in place, and /dev/stdout,
-/dev/stderr and /dev/fd/N through the descriptor they name.
+Frames are streamed: each command reads and writes them in blocks of
+about 256 lines and transforms one at a time, so its memory does not
+grow with the file.  An output (OUT, decode's --report, ber's --csv) is
+written to a new file beside it and moved over it only when the command
+succeeds, so a failing run leaves the old file, or none, never a partial
+one.  A symlinked output keeps its link and its target is replaced; an
+output that exists and is not a regular file (a FIFO, a device) is
+written in place, and /dev/stdout, /dev/stderr and /dev/fd/N through the
+descriptor they name.
 
 Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 --allow-errors) or the self-test failed; 2 on usage or parse errors, or
@@ -102,8 +103,7 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_ber(args) -> int:
-    tables = build_tables()
-    report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed, tables)
+    report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed)
     text = report.CSV_HEADER + "\n" + report.csv_row() + "\n"
     if args.csv:
         with replacing(args.csv) as fh:
@@ -121,7 +121,7 @@ def _cmd_tables(args) -> int:
 def _cmd_selftest(args) -> int:
     tables = build_tables()
     # Both oracle checks read the table; a build that raises fails both.
-    oracle_table = functools.cache(lambda: reference_oracle.build_syndrome_table(tables))
+    oracle_table = functools.cache(reference_oracle.build_syndrome_table)
 
     def mismatches(inputs, ours, reference) -> tuple[bool, str]:
         bad = sum(1 for x in inputs if ours(x) != reference(x))
@@ -150,13 +150,13 @@ def _cmd_selftest(args) -> int:
     words = single_byte_words(CODEWORD_BITS)
 
     def syndromes() -> tuple[bool, str]:
-        return mismatches(words, lambda w: compute_syndromes(w, tables), definitional_syndromes)
+        return mismatches(words, compute_syndromes, definitional_syndromes)
 
     messages = single_byte_words(MESSAGE_BITS)
 
     def encoded(message: int) -> tuple[int, tuple[int, int, int]]:
         codeword = encode(message)
-        return codeword, compute_syndromes(codeword, tables)
+        return codeword, compute_syndromes(codeword)
 
     def encoder() -> tuple[bool, str]:
         return mismatches(messages, encoded, lambda m: (encode_lfsr(m), (0, 0, 0)))
@@ -173,8 +173,8 @@ def _cmd_selftest(args) -> int:
         table = oracle_table()
         bad = correctable = 0
         for word in range(cosets):
-            ours = decode(word, tables)
-            bad += ours != reference_oracle.brute_force_decode(word, table, tables)
+            ours = decode(word)
+            bad += ours != reference_oracle.brute_force_decode(word, table)
             correctable += ours.status is not DecodeStatus.UNCORRECTABLE
         return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
                 f"{bad} disagreements, {correctable} correctable")

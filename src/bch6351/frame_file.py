@@ -1,9 +1,13 @@
 """Frame files: one hex frame per line, read and written as a stream.
 
 The line format and the command-line behaviour are described in the cli
-module.  This code is kept out of cli because, without cached bytecode,
-every command compiles cli, and the compile of one large module set the
-peak memory of the commands that never read a frame file.
+module.  Frames are read and written in blocks of about 256 lines, so
+memory is bounded by the block.  A block of lines that hold only a
+frame's digits and a line end is checked and converted as a whole, and
+any other block line by line, so an error names its line either way.
+This code is kept out of cli because, without cached bytecode, every
+command compiles cli, and the compile of one large module set the peak
+memory of the commands that never read a frame file.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import errno
 import os
 import re
 import stat
+import struct
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from .encoder import CODEWORD_BITS, MESSAGE_BITS, SHORT_CODEWORD_BITS, SHORT_PAYLOAD_BITS
 
@@ -23,6 +29,9 @@ class FrameFileError(Exception):
 
 
 _HEX_FRAME = {width: re.compile(f"[0-9a-fA-F]{{{width}}}") for width in (8, 16)}
+_WORD = {8: "I", 16: "Q"}  # the struct code of one frame: 4 or 8 bytes, big-endian
+_READ_HINT = 4096  # bytes of lines read as one block, about 240 frames
+_WRITE_FRAMES = 256  # frames written as one block
 _DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
 
 
@@ -57,29 +66,38 @@ def _frames(path: str, width: int, bits: int) -> Iterator[int | None]:
         fh = open(path, encoding="latin-1", newline="")
     except OSError as exc:
         raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    hex_frame = _HEX_FRAME[width]
+    # a block of lines that hold a frame's digits and a line end, nothing else
+    hex_block, word = re.compile(f"(?:{_HEX_FRAME[width].pattern}(?:\n|\r\n?))*"), _WORD[width]
     with fh:
         yield None  # parse_frame_file's first step ends here, with the file open
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                column = next(i for i, char in enumerate(line) if char > "\x7f")
-                raise FrameFileError(
-                    f"{path}:{lineno}: non-ASCII byte {ord(line[column]):#04x} "
-                    f"at column {column + 1}"
-                )
-            text = line.strip()
-            if len(text) != width:
-                raise FrameFileError(
-                    f"{path}:{lineno}: expected {width} hex digits, got {text!r}"
-                )
-            if not hex_frame.fullmatch(text):
-                raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
-            value = int(text, 16)
-            if value >> bits:
-                raise FrameFileError(
-                    f"{path}:{lineno}: reserved bits above bit {bits - 1} are set"
-                )
-            yield value
+        lineno = 0
+        while lines := fh.readlines(_READ_HINT):
+            text = "".join(lines)
+            if hex_block.fullmatch(text):
+                values = struct.unpack(f">{len(lines)}{word}", bytes.fromhex(text))
+                if not max(values) >> bits:
+                    lineno += len(lines)
+                    yield from values
+                    continue
+            for lineno, line in enumerate(lines, start=lineno + 1):
+                yield _checked_line(path, lineno, line, width, bits)
+
+
+def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> int:
+    """The frame on one line, or FrameFileError naming the line's first fault."""
+    if not line.isascii():
+        column = next(i for i, char in enumerate(line) if char > "\x7f")
+        raise FrameFileError(f"{path}:{lineno}: non-ASCII byte {ord(line[column]):#04x} "
+                             f"at column {column + 1}")
+    text = line.strip()
+    if len(text) != width:
+        raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {text!r}")
+    if not _HEX_FRAME[width].fullmatch(text):
+        raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
+    value = int(text, 16)
+    if value >> bits:
+        raise FrameFileError(f"{path}:{lineno}: reserved bits above bit {bits - 1} are set")
+    return value
 
 
 @contextlib.contextmanager
@@ -143,10 +161,32 @@ def replacing(path: str) -> Iterator:
 
 
 def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> None:
-    """Write one frame per line, an all-X line for None; `path` is replaced only on success."""
+    """Write one frame per line, an all-X line for None; `path` is replaced only on success.
+
+    A frame is None or a value in 0..16^width - 1 (width 16, or 8 when
+    `short`); any other raises ValueError naming it.  Frames go out in
+    blocks; those `frames` gave before it raised are still written.
+    """
     width = _frame_width(short)
-    digits = f"0{width}x"
-    sentinel = "X" * width + "\n"
+    frames = iter(frames)
     with replacing(path) as fh:
-        fh.writelines(sentinel if value is None else format(value, digits) + "\n"
-                      for value in frames)
+        while True:
+            block: list[int | None] = []
+            try:
+                block.extend(islice(frames, _WRITE_FRAMES))  # on a raise, keeps what came before
+            finally:
+                _write_block(fh, block, width)
+            if len(block) < _WRITE_FRAMES:
+                return
+
+
+def _write_block(fh, block: list[int | None], width: int) -> None:
+    try:
+        packed = struct.pack(f">{len(block)}{_WORD[width]}", *block)
+    except struct.error:  # a None, or a value that does not fit
+        for value in block:
+            if value is not None and not 0 <= value < 1 << 4 * width:
+                raise ValueError(f"frame {value} does not fit in {width} hex digits") from None
+            fh.write("X" * width + "\n" if value is None else f"{value:0{width}x}\n")
+    else:
+        fh.write(packed.hex("\n", width // 2) + "\n" if packed else "")

@@ -7,7 +7,8 @@ code's minimum distance is at least 5, i.e. that two-error correction is
 well defined.  Lookup then implements minimum-distance decoding within
 radius 2 exactly, independent of the algebraic decoder: the only shared
 code is the field tables and `compute_syndromes`, which the tests check
-against the definitional per-bit sum.
+against the definitional per-bit sum.  The field is fixed, so the
+optional `tables` argument of both functions is read by neither.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def syndrome_key(syndromes: tuple[int, int, int]) -> int:
     return s1 | s2 << 6 | s3 << 12
 
 
-def build_syndrome_table(tables: GfTables) -> SyndromeTable:
+def build_syndrome_table(tables: GfTables | None = None) -> SyndromeTable:
     """Tabulate syndromes of every weight <= 2 pattern.
 
     Raises if two patterns share a key: that would disprove two-error
@@ -41,7 +42,7 @@ def build_syndrome_table(tables: GfTables) -> SyndromeTable:
     table: SyndromeTable = {}
 
     def insert(mask: int) -> None:
-        key = syndrome_key(compute_syndromes(mask, tables))
+        key = syndrome_key(compute_syndromes(mask))
         if key in table:
             raise ValueError(
                 f"syndrome collision: patterns {table[key]:#x} and {mask:#x} "
@@ -59,9 +60,10 @@ def build_syndrome_table(tables: GfTables) -> SyndromeTable:
     return table
 
 
-def brute_force_decode(received: int, table: SyndromeTable, tables: GfTables) -> DecodeOutcome:
+def brute_force_decode(received: int, table: SyndromeTable,
+                       tables: GfTables | None = None) -> DecodeOutcome:
     """Minimum-distance decode within radius 2 by table lookup."""
-    key = syndrome_key(compute_syndromes(received, tables))
+    key = syndrome_key(compute_syndromes(received))
     mask = table.get(key)
     if mask is None:
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)

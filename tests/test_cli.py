@@ -382,6 +382,31 @@ def test_closed_descriptor_output_is_an_error_naming_it(tmp_path, monkeypatch, c
     assert os.listdir(tmp_path) == ["m.hex"]
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("bad_line", [3, 300])  # in the first block of 256, and past it
+@pytest.mark.parametrize("command", [
+    ["encode"],
+    ["corrupt", "--weight", "2", "--seed", "4"],
+    ["decode", "--allow-errors", "--report", "r.csv"],
+], ids=["encode", "corrupt", "decode-report"])
+def test_descriptor_output_keeps_the_frames_before_a_rejected_line(tmp_path, monkeypatch,
+                                                                  command, bad_line):
+    # An output written through a descriptor is not replaced, so the frames
+    # before the rejected line reach it, as they would line by line.
+    monkeypatch.chdir(tmp_path)
+    lines = [format(m, "016x") + "\n" for m in random_messages(bad_line + 20, seed=bad_line)]
+    pathlib.Path("good.hex").write_text("".join(lines[:bad_line - 1]))
+    assert main([*command, "good.hex", "want.hex"]) == 0
+    pathlib.Path("bad.hex").write_text("".join(lines[:bad_line - 1]) + "zz\n"
+                                       + "".join(lines[bad_line:]))
+    pathlib.Path("r.csv").unlink(missing_ok=True)
+    result = run_module([*command, "bad.hex", "/dev/stdout"], stdout=subprocess.PIPE)
+    assert result.returncode == 2
+    assert f"bad.hex:{bad_line}: expected 16 hex digits".encode() in result.stderr
+    assert result.stdout == pathlib.Path("want.hex").read_bytes()
+    assert sorted(os.listdir()) == ["bad.hex", "good.hex", "want.hex"]
+
+
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
 def test_decode_memory_does_not_grow_with_the_file(tmp_path, newline):
     # frames are streamed, so the traced peak of a decode --report holds
@@ -459,6 +484,20 @@ def test_read_rewrite_identity(tmp_path):
     frames = parse_frame_file(str(original), "codeword", short=False)
     write_frame_file(str(rewritten), frames, short=False)
     assert rewritten.read_bytes() == original.read_bytes()
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["width16", "width8"])
+def test_write_frame_file_rejects_a_value_that_does_not_fit(tmp_path, short):
+    width = 8 if short else 16
+    out = tmp_path / "o.hex"
+    write_frame_file(str(out), [(1 << 4 * width) - 1], short)
+    assert out.read_text() == "f" * width + "\n"
+    # a block of values, and a block that holds a sentinel
+    for before in ([0], [None]):
+        for bad in (1 << 4 * width, -1):
+            with pytest.raises(ValueError, match=f"frame {bad} does not fit in {width} hex"):
+                write_frame_file(str(out), [*before, bad], short)
+            assert out.read_text() == "f" * width + "\n"
 
 
 def test_parse_serialize_identity(tmp_path):

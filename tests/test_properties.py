@@ -7,13 +7,15 @@ needs hypothesis (the `test` extra) to be collected.
 import contextlib
 import io
 import os
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from bch6351 import frame_file
 from bch6351.cli import main
 from bch6351.decoder import decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
-from bch6351.frame_file import parse_frame_file, write_frame_file
+from bch6351.frame_file import FrameFileError, parse_frame_file, write_frame_file
 
 
 NEWLINES = [b"\n", b"\r\n", b"\r"]
@@ -77,6 +79,64 @@ def test_rejected_line_exits_2_naming_its_line_property(tmp_path_factory, comman
         assert main([command, *flags, str(infile), str(outfile)]) == 2
     assert f"{infile}:{bad_at + 1}: " in err.getvalue()
     assert sorted(os.listdir(work)) == ["in.hex"]
+
+
+def _line_by_line(path, data, width, bits):
+    """The frames and the error of applying the per-line check to each line of `data`."""
+    values = []
+    try:
+        for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
+            values.append(frame_file._checked_line(path, lineno, line.decode("latin-1"),
+                                                   width, bits))
+    except FrameFileError as exc:
+        return values, str(exc)
+    return values, None
+
+
+@settings(deadline=None)
+@given(kind=st.sampled_from(["message", "codeword"]), short=st.booleans(),
+       hint=st.integers(1, 60), final_newline=st.booleans(), data=st.data())
+def test_block_parsing_equals_line_by_line_parsing_property(tmp_path_factory, kind, short,
+                                                            hint, final_newline, data):
+    # The read hint is cut to a few lines, so blocks that take the block
+    # path, and blocks that fall back to the per-line check, alternate.
+    width, bits = 8 if short else 16, _value_bits(kind, short)
+    pad = st.text(" \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=2)
+    digits = st.tuples(st.integers(0, (1 << bits) - 1), st.booleans()).map(
+        lambda t: format(t[0], f"0{width}X" if t[1] else f"0{width}x"))
+    valid = st.one_of(digits, st.tuples(pad, digits, pad).map("".join)).map(str.encode)
+    lines = data.draw(st.lists(valid, max_size=30))
+    if data.draw(st.booleans()):
+        lines.insert(data.draw(st.integers(0, len(lines))), data.draw(_bad_lines(width, bits)))
+    ends = data.draw(st.lists(st.sampled_from([b"\n"] * 4 + NEWLINES),
+                              min_size=len(lines), max_size=len(lines)))
+    content = b"".join(line + end for line, end in zip(lines, ends))
+    if not final_newline:
+        content = content.rstrip(b"\r\n")
+    path = tmp_path_factory.mktemp("blocks") / "frames.hex"
+    path.write_bytes(content)
+    values = []
+    with mock.patch.object(frame_file, "_READ_HINT", hint):
+        try:
+            values.extend(parse_frame_file(str(path), kind, short))
+            error = None
+        except FrameFileError as exc:
+            error = str(exc)
+    assert (values, error) == _line_by_line(str(path), content, width, bits)
+
+
+@settings(deadline=None)
+@given(short=st.booleans(), block=st.integers(1, 4), data=st.data())
+def test_block_writing_equals_line_writing_property(tmp_path_factory, short, block, data):
+    width = 8 if short else 16
+    frames = data.draw(st.lists(st.one_of(st.none(), st.integers(0, (1 << 4 * width) - 1)),
+                                max_size=12))
+    path = tmp_path_factory.mktemp("blocks") / "frames.hex"
+    with mock.patch.object(frame_file, "_WRITE_FRAMES", block):
+        write_frame_file(str(path), frames, short)
+    assert path.read_text() == "".join("X" * width + "\n" if value is None
+                                       else format(value, f"0{width}x") + "\n"
+                                       for value in frames)
 
 
 @settings(deadline=None)
