@@ -13,14 +13,15 @@ Decode writes an all-X sentinel line for uncorrectable frames so frame
 counts stay aligned across pipeline stages.
 
 Frames are streamed: each command reads and writes them in blocks of
-about 256 lines and transforms one at a time, so its memory does not
-grow with the file.  An output (OUT, decode's --report, ber's --csv) is
+256 frames and transforms one at a time, so its memory does not grow
+with the file.  An output (OUT, decode's --report, ber's --csv) is
 written to a new file beside it and moved over it only when the command
 succeeds, so a failing run leaves the old file, or none, never a partial
-one.  A symlinked output keeps its link and its target is replaced; an
-output that exists and is not a regular file (a FIFO, a device) is
-written in place, and /dev/stdout, /dev/stderr and /dev/fd/N through the
-descriptor they name.
+one; decode replaces OUT only once its report is fully written, and
+--report must name another file than OUT.  A symlinked output keeps its
+link and its target is replaced; an output that exists and is not a
+regular file (a FIFO, a device) is written in place, and /dev/stdout,
+/dev/stderr and /dev/fd/N through the descriptor they name.
 
 Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 --allow-errors) or the self-test failed; 2 on usage or parse errors, or
@@ -35,6 +36,7 @@ import functools
 import sys
 import time
 from collections.abc import Iterator
+from os.path import realpath
 
 from . import channel_sim, reference_oracle
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
@@ -73,6 +75,8 @@ def _cmd_decode(args) -> int:
             if report is not None:
                 report.write(f"{index},{outcome.status.value},{len(outcome.positions)}\n")
             yield message
+        if report is not None:  # a report that cannot be written fails before OUT is replaced
+            report.flush()
 
     with replacing(args.report) if args.report else contextlib.nullcontext() as report:
         if report is not None:
@@ -263,6 +267,8 @@ def main(argv=None) -> int:
         parser.error("--bsc probability must be in [0, 1]")
     if getattr(args, "seed", None) is not None and not 0 <= args.seed < 1 << 64:
         parser.error("--seed must be in 0..2^64-1")
+    if getattr(args, "report", None) and realpath(args.report) == realpath(args.outfile):
+        parser.error("--report and OUT name the same file")
     if args.command == "ber":
         if not 0.0 <= args.p <= 1.0:
             parser.error("--p probability must be in [0, 1]")

@@ -55,6 +55,7 @@ class DecodeOutcome(NamedTuple):
     corrected: int | None
 
 
+_UNCORRECTABLE = DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
 _FIELD = build_tables()
 
 # The syndromes of the unit word x^j, packed S1 | S2 << 6 | S3 << 12, and
@@ -159,12 +160,12 @@ def decode(received: int, tables: GfTables | None = None) -> DecodeOutcome:
     if syndromes == (0, 0, 0):
         return DecodeOutcome(DecodeStatus.NO_ERROR, frozenset(), received)
     if syndromes[0] == 0:
-        return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
+        return _UNCORRECTABLE
     locator = solve_locator(syndromes)
     degree = 2 if locator[2] else 1
     positions = chien_search(locator)
     if len(positions) != degree:
-        return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
+        return _UNCORRECTABLE
     corrected = apply_correction(received, positions)
     if compute_syndromes(corrected) != (0, 0, 0):
         raise RuntimeError(f"corrected word {corrected:#x} failed the zero-syndrome re-check")
@@ -184,6 +185,6 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
     if outcome.status is DecodeStatus.UNCORRECTABLE:
         return outcome
     if any(p >= SHORT_CODEWORD_BITS for p in outcome.positions):
-        return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
+        return _UNCORRECTABLE
     # The corrected word is below 2^31, so the shift leaves the 19-bit payload.
     return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)

@@ -1,8 +1,8 @@
 """Frame files: one hex frame per line, read and written as a stream.
 
 The line format and the command-line behaviour are described in the cli
-module.  Frames are read and written in blocks of about 256 lines, so
-memory is bounded by the block.  A block of lines that hold only a
+module.  Frames are read and written in blocks of 256 frames, so memory
+is bounded by the block.  A block of lines that hold only a
 frame's digits and a line end is checked and converted as a whole, and
 any other block line by line, so an error names its line either way.
 This code is kept out of cli because, without cached bytecode, every
@@ -28,21 +28,16 @@ class FrameFileError(Exception):
     """Malformed frame file; message carries file and line context."""
 
 
-_HEX_FRAME = {width: re.compile(f"[0-9a-fA-F]{{{width}}}") for width in (8, 16)}
-_WORD = {8: "I", 16: "Q"}  # the struct code of one frame: 4 or 8 bytes, big-endian
-_READ_HINT = 4096  # bytes of lines read as one block, about 240 frames
-_WRITE_FRAMES = 256  # frames written as one block
+_HEX_DIGIT = "[0-9a-fA-F]"
+_HEX_DIGITS = re.compile(f"{_HEX_DIGIT}*")
+# By `short`: the hex digits of a frame, its struct code (4 or 8 bytes,
+# big-endian), and a block of lines that hold those digits and a line end.
+_FORMAT = {short: (width, word, re.compile(f"(?:{_HEX_DIGIT}{{{width}}}(?:\n|\r\n?))*"))
+           for short, width, word in ((False, 16, "Q"), (True, 8, "I"))}
+_VALUE_BITS = {("message", False): MESSAGE_BITS, ("codeword", False): CODEWORD_BITS,
+               ("message", True): SHORT_PAYLOAD_BITS, ("codeword", True): SHORT_CODEWORD_BITS}
+_BLOCK_FRAMES = 256  # frames read or written as one block
 _DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
-
-
-def _frame_width(short: bool) -> int:
-    return 8 if short else 16
-
-
-def _value_bits(kind: str, short: bool) -> int:
-    if kind == "message":
-        return SHORT_PAYLOAD_BITS if short else MESSAGE_BITS
-    return SHORT_CODEWORD_BITS if short else CODEWORD_BITS
 
 
 def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[int]:
@@ -53,12 +48,12 @@ def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[int]:
     reserved-bit rules raises FrameFileError with its line number when
     the iterator reaches it.
     """
-    frames = _frames(path, _frame_width(short), _value_bits(kind, short))
+    frames = _frames(path, *_FORMAT[short], _VALUE_BITS[kind, short])
     next(frames)  # runs to the open; from there the generator closes the file
     return frames
 
 
-def _frames(path: str, width: int, bits: int) -> Iterator[int | None]:
+def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[int | None]:
     try:
         # latin-1 maps each byte to one character, so a non-ASCII byte can
         # be named; newline="" ends lines at \n, \r\n and a bare \r, as
@@ -66,12 +61,11 @@ def _frames(path: str, width: int, bits: int) -> Iterator[int | None]:
         fh = open(path, encoding="latin-1", newline="")
     except OSError as exc:
         raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    # a block of lines that hold a frame's digits and a line end, nothing else
-    hex_block, word = re.compile(f"(?:{_HEX_FRAME[width].pattern}(?:\n|\r\n?))*"), _WORD[width]
     with fh:
         yield None  # parse_frame_file's first step ends here, with the file open
         lineno = 0
-        while lines := fh.readlines(_READ_HINT):
+        # readlines stops once its lines pass the hint: _BLOCK_FRAMES lines of a frame and \n
+        while lines := fh.readlines(_BLOCK_FRAMES * (width + 1) - 1):
             text = "".join(lines)
             if hex_block.fullmatch(text):
                 values = struct.unpack(f">{len(lines)}{word}", bytes.fromhex(text))
@@ -92,7 +86,7 @@ def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> i
     text = line.strip()
     if len(text) != width:
         raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {text!r}")
-    if not _HEX_FRAME[width].fullmatch(text):
+    if not _HEX_DIGITS.fullmatch(text):
         raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
     value = int(text, 16)
     if value >> bits:
@@ -120,23 +114,20 @@ def replacing(path: str) -> Iterator:
     target's directory, gives other hard links to the target the old
     content, and makes the new file owned by the current user.
     """
-    named = _DESCRIPTOR_PATH.fullmatch(path)
+    named, mode = _DESCRIPTOR_PATH.fullmatch(path), None
     if named:  # opening the path by name would truncate a file that >> opened
         try:
-            fd = os.dup(1 if named[1] else 2 if named[2] else int(named[3]))
+            in_place = os.dup(1 if named[1] else 2 if named[2] else int(named[3]))
         except (OSError, OverflowError, ValueError):
             raise OSError(errno.EBADF, "not an open descriptor", path) from None
-        with open(fd, "w", encoding="ascii") as fh:
-            yield fh
-        return
-    # Stat and open the path as given, so an error names it: realpath turns
-    # /dev/stdout on a pipe into /proc/<pid>/fd/pipe:[...], which does not exist.
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w", encoding="ascii") as fh:
+    else:
+        # Stat and open the path as given, so an error names it: realpath turns
+        # /dev/stdout on a pipe into /proc/<pid>/fd/pipe:[...], which does not exist.
+        with contextlib.suppress(FileNotFoundError):
+            mode = os.stat(path).st_mode
+        in_place = path if mode is not None and not stat.S_ISREG(mode) else None
+    if in_place is not None:
+        with open(in_place, "w", encoding="ascii") as fh:
             yield fh
         return
     target = os.path.realpath(path)
@@ -167,22 +158,22 @@ def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> No
     `short`); any other raises ValueError naming it.  Frames go out in
     blocks; those `frames` gave before it raised are still written.
     """
-    width = _frame_width(short)
+    width, word, _ = _FORMAT[short]
     frames = iter(frames)
     with replacing(path) as fh:
         while True:
             block: list[int | None] = []
             try:
-                block.extend(islice(frames, _WRITE_FRAMES))  # on a raise, keeps what came before
+                block.extend(islice(frames, _BLOCK_FRAMES))  # on a raise, keeps what came before
             finally:
-                _write_block(fh, block, width)
-            if len(block) < _WRITE_FRAMES:
+                _write_block(fh, block, width, word)
+            if len(block) < _BLOCK_FRAMES:
                 return
 
 
-def _write_block(fh, block: list[int | None], width: int) -> None:
+def _write_block(fh, block: list[int | None], width: int, word: str) -> None:
     try:
-        packed = struct.pack(f">{len(block)}{_WORD[width]}", *block)
+        packed = struct.pack(f">{len(block)}{word}", *block)
     except struct.error:  # a None, or a value that does not fit
         for value in block:
             if value is not None and not 0 <= value < 1 << 4 * width:

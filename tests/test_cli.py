@@ -267,6 +267,36 @@ def test_failed_run_leaves_outputs_as_they_were(tmp_path, capsys, command, words
     assert sorted(os.listdir(tmp_path)) == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("old_out", [None, b"old output\n"], ids=["no-out", "old-out"])
+def test_decode_keeps_out_when_its_report_cannot_be_written(tmp_path, capsys, old_out):
+    # /dev/full takes no byte, so the report fails; OUT must not be replaced
+    words, out = tmp_path / "c.hex", tmp_path / "o.hex"
+    write_messages(words, [0, 1])
+    if old_out is not None:
+        out.write_bytes(old_out)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["decode", "--report", "/dev/full", str(words), str(out)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
+    if old_out is not None:
+        assert out.read_bytes() == old_out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("report, out", [("F", "./F"), ("/dev/stdout", "/dev/stdout")],
+                         ids=["relative", "dev-stdout"])
+def test_report_naming_out_is_a_usage_error(tmp_path, monkeypatch, capsys, report, out):
+    # checked before IN, which does not exist, is opened
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["decode", "--report", report, "missing.hex", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--report and OUT name the same file" in err
+    assert os.listdir(tmp_path) == []
+
+
 def test_failure_after_frames_were_written_leaves_no_output(tmp_path, monkeypatch):
     # the third frame raises after two frames went to the new file
     infile, outfile = tmp_path / "m.hex", tmp_path / "c.hex"
@@ -330,6 +360,24 @@ ONE_OUTPUT = pytest.mark.parametrize("command", [
     ["encode", "m.hex"],
     ["ber", "--p", "0.1", "--frames", "10", "--seed", "1", "--csv"],
 ], ids=["encode", "ber-csv"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/fd"), reason="no /dev/fd")
+@ONE_OUTPUT
+def test_device_and_descriptor_outputs_in_process(tmp_path, monkeypatch, command):
+    # /dev/null, a character device, is opened by its path; /dev/fd/N is a
+    # duplicate of N, here a file opened for append
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", random_messages(5, seed=9))
+    assert main([*command, "out"]) == 0
+    assert main([*command, "/dev/null"]) == 0
+    assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+    log = tmp_path / "log"
+    log.write_bytes(b"earlier line\n")
+    with open(log, "ab") as fh:
+        assert main([*command, f"/dev/fd/{fh.fileno()}"]) == 0
+    assert log.read_bytes() == b"earlier line\n" + (tmp_path / "out").read_bytes()
+    assert sorted(os.listdir(tmp_path)) == ["log", "m.hex", "out"]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")

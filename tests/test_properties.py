@@ -95,10 +95,10 @@ def _line_by_line(path, data, width, bits):
 
 @settings(deadline=None)
 @given(kind=st.sampled_from(["message", "codeword"]), short=st.booleans(),
-       hint=st.integers(1, 60), final_newline=st.booleans(), data=st.data())
+       block=st.integers(1, 4), final_newline=st.booleans(), data=st.data())
 def test_block_parsing_equals_line_by_line_parsing_property(tmp_path_factory, kind, short,
-                                                            hint, final_newline, data):
-    # The read hint is cut to a few lines, so blocks that take the block
+                                                            block, final_newline, data):
+    # The block is cut to a few frames, so blocks that take the block
     # path, and blocks that fall back to the per-line check, alternate.
     width, bits = 8 if short else 16, _value_bits(kind, short)
     pad = st.text(" \t\x0b\x0c\x1c\x1d\x1e\x1f", max_size=2)
@@ -116,7 +116,7 @@ def test_block_parsing_equals_line_by_line_parsing_property(tmp_path_factory, ki
     path = tmp_path_factory.mktemp("blocks") / "frames.hex"
     path.write_bytes(content)
     values = []
-    with mock.patch.object(frame_file, "_READ_HINT", hint):
+    with mock.patch.object(frame_file, "_BLOCK_FRAMES", block):
         try:
             values.extend(parse_frame_file(str(path), kind, short))
             error = None
@@ -132,7 +132,7 @@ def test_block_writing_equals_line_writing_property(tmp_path_factory, short, blo
     frames = data.draw(st.lists(st.one_of(st.none(), st.integers(0, (1 << 4 * width) - 1)),
                                 max_size=12))
     path = tmp_path_factory.mktemp("blocks") / "frames.hex"
-    with mock.patch.object(frame_file, "_WRITE_FRAMES", block):
+    with mock.patch.object(frame_file, "_BLOCK_FRAMES", block):
         write_frame_file(str(path), frames, short)
     assert path.read_text() == "".join("X" * width + "\n" if value is None
                                        else format(value, f"0{width}x") + "\n"
