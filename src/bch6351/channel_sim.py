@@ -11,7 +11,12 @@ Per-frame sub-seeds are successive outputs of the master seed's stream,
 so frames are independent and results do not depend on evaluation
 order.  The BER harness gives frame i sub-seed indices 2i for its
 message and 2i+1 for its channel noise; the CLI's `corrupt`, which has
-no message to draw, takes frame i's flip mask from index i.
+no message to draw, takes frame i's flip mask from index i.  Both
+compute the sub-seeds of BLOCK_FRAMES frames at once, one per 128-bit
+lane of a Python int, and `random_error_patterns` runs every frame's
+Fisher-Yates draws in lanes too.  That changes no output: the one-frame
+functions `substream_seed` and `random_error_pattern` define the stream,
+and every block function returns what they return.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -23,7 +28,9 @@ message, so the counters equal those of the explicit encode -> corrupt
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 from .gf64 import GfTables
@@ -33,6 +40,9 @@ from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # no
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Frames whose sub-seeds or error patterns are drawn side by side, one per
+# 128-bit lane; past about 256 lanes a frame costs no less.
+BLOCK_FRAMES = 256
 
 
 def mix64(x: int) -> int:
@@ -100,13 +110,32 @@ def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int, int]:
     j, so (seed * ONES + RAMP) & LOW is SplitMix64(seed)'s j-th state.
     """
     ones = int.from_bytes((b"\x01" + bytes(15)) * nbits, "little")
-    ramp = sum((((j + 1) * _GOLDEN) & _MASK64) << (128 * j) for j in range(nbits))
+    ramp = int.from_bytes(b"".join((((j + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
+                                   for j in range(nbits)), "little")
     return ones, _MASK64 * ones, ones << 64, ramp, threshold * ones
 
 
 # Lane j's byte holding its bit 64 reads 0 where draw j fell below the
 # threshold: that is a set bit of the mask, written '1' for int(·, 2).
 _SET_IF_ZERO = bytes.maketrans(b"\x00\x01", b"10")
+
+
+def _mix_lanes(x: int, low: int) -> int:
+    """mix64 of every 128-bit lane of x, laid out as in `_lanes`.
+
+    Each lane is first reduced mod 2^64.  In the result a lane's low 64
+    bits are its mix64 and bits 64..96 are 0; the bits x >> 31 brings in
+    from the next lane sit above bit 96.
+    """
+    x &= low
+    x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
+    x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low
+    return x ^ (x >> 31)
+
+
+def _lane_values(x: int, count: int) -> tuple[int, ...]:
+    """The low 64 bits of each lane of x, which has `count` lanes."""
+    return struct.unpack(f"<{2 * count}Q", x.to_bytes(16 * count, "little"))[::2]
 
 
 def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
@@ -122,16 +151,28 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
         return 0
     threshold = int(p * 9007199254740992.0) << 11  # p * 2^53, exact
     ones, low, high, ramp, thresholds = _lanes(nbits, threshold)
-    x = ((seed & _MASK64) * ones + ramp) & low
-    x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
-    x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low
-    # Each lane is now 2^64 + draw - threshold, at least 0 because the
+    # Each lane of x is 2^64 + draw - threshold, at least 0 because the
     # threshold is at most 2^64, so no borrow leaves a lane and bit 64 is
-    # clear exactly where draw < threshold.  The bits x >> 31 brings in
-    # from the next lane sit above bit 96 and are never read.
-    x = ((x ^ (x >> 31)) | high) - thresholds
+    # clear exactly where draw < threshold.
+    x = (_mix_lanes((seed & _MASK64) * ones + ramp, low) | high) - thresholds
     # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
+
+
+def _substream_lanes(seed: int, first: int, count: int, step: int) -> int:
+    """substream_seed(seed, first + j * step) in lane j, for j < count."""
+    if not 0 < step < 1 << 63:
+        raise ValueError("step must be in 1..2^63-1")
+    ones, low, _, ramp, _ = _lanes(count, 0)
+    # Lane j of ramp * step is (j + 1) * step * golden mod 2^64, below 2^127.
+    base = (seed + (first + 1 - step) * _GOLDEN) & _MASK64
+    return _mix_lanes(base * ones + ramp * step, low)
+
+
+def substream_seeds(seed: int, first: int, count: int = BLOCK_FRAMES,
+                    step: int = 1) -> tuple[int, ...]:
+    """substream_seed(seed, first + j * step) for j < count, computed side by side."""
+    return _lane_values(_substream_lanes(seed, first, count, step), count)
 
 
 class BerReport(NamedTuple):
@@ -202,6 +243,38 @@ def random_error_pattern(weight: int, n: int, seed: int) -> int:
     return mask
 
 
+def random_error_patterns(weight: int, n: int, seed: int, first: int,
+                          count: int = BLOCK_FRAMES) -> list[int]:
+    """random_error_pattern(weight, n, substream_seed(seed, first + j)) for j < count.
+
+    Draw i of every frame's Fisher-Yates runs at once, frame j's in lane
+    j.  A draw at or above its rejection limit (probability below 2^-58)
+    sends the whole block down the scalar path, which draws that frame's
+    next value from its own stream.
+    """
+    if not 0 <= weight <= n <= CODEWORD_BITS:
+        raise ValueError(f"need 0 <= weight <= n <= 63, got weight={weight} n={n}")
+    ones, low, _, _, _ = _lanes(count, 0)
+    states = _substream_lanes(seed, first, count, 1) & low
+    picks = []
+    for i in range(weight):
+        states += _GOLDEN * ones  # lane j holds frame j's SplitMix64 state, below 2^70
+        draws = _lane_values(_mix_lanes(states, low), count)
+        if max(draws) >= (1 << 64) - (1 << 64) % (n - i):
+            seeds = substream_seeds(seed, first, count)
+            return [random_error_pattern(weight, n, frame_seed) for frame_seed in seeds]
+        picks.append([i + u % (n - i) for u in draws])
+    # Swap i of a frame's shuffle exchanges slots i and j, its entry in
+    # picks[i], so its slots 0..weight-1 end up holding the image of
+    # positions 0..weight-1 under its swaps applied last first.  Before
+    # swap i is applied, bits 0..i are still set: it moves bit i to bit j
+    # unless bit j is set already.
+    masks = [(1 << weight) - 1] * count
+    for i in reversed(range(weight)):
+        masks = [m if m >> j & 1 else m ^ (1 << i | 1 << j) for m, j in zip(masks, picks[i])]
+    return masks
+
+
 def run_ber_experiment(p: float, frames: int, seed: int,
                        tables: GfTables | None = None) -> BerReport:
     """Measure pre/post-FEC error rates over `frames` random frames.
@@ -223,8 +296,11 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     if frames < 1:
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
-    for i in range(frames):
-        flips = bernoulli_mask(p, substream_seed(seed, 2 * i + 1), CODEWORD_BITS)
+    noise_seeds = chain.from_iterable(
+        substream_seeds(seed, 2 * first + 1, min(BLOCK_FRAMES, frames - first), 2)
+        for first in range(0, frames, BLOCK_FRAMES))
+    for noise_seed in noise_seeds:
+        flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
         if flips == 0:
             continue
         outcome = decode(flips)

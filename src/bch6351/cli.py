@@ -36,9 +36,10 @@ import functools
 import sys
 import time
 from collections.abc import Iterator
+from itertools import chain, count
 from os.path import realpath
 
-from . import channel_sim, reference_oracle
+from . import reference_oracle
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
 from .encoder import (
     CODEWORD_BITS,
@@ -90,23 +91,28 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
+    # Imported here, so that the commands without a channel never compile it.
+    from . import channel_sim
+
     frames = parse_frame_file(args.infile, "codeword", args.short)
     n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
-
-    def corrupted() -> Iterator[int]:
-        for index, word in enumerate(frames):
-            frame_seed = channel_sim.substream_seed(args.seed, index)
-            if args.bsc is not None:
-                mask = channel_sim.bernoulli_mask(args.bsc, frame_seed, n)
-            else:
-                mask = channel_sim.random_error_pattern(args.weight, n, frame_seed)
-            yield word ^ mask
-
-    write_frame_file(args.outfile, corrupted(), args.short)
+    # Sub-seeds and error patterns come a block of frames at a time; map
+    # pairs a mask with each frame as it is read, so the frames before a
+    # rejected line are still written.
+    firsts = count(0, channel_sim.BLOCK_FRAMES)
+    if args.bsc is not None:
+        seeds = chain.from_iterable(channel_sim.substream_seeds(args.seed, i) for i in firsts)
+        masks = (channel_sim.bernoulli_mask(args.bsc, seed, n) for seed in seeds)
+    else:
+        masks = chain.from_iterable(
+            channel_sim.random_error_patterns(args.weight, n, args.seed, i) for i in firsts)
+    write_frame_file(args.outfile, map(int.__xor__, frames, masks), args.short)
     return 0
 
 
 def _cmd_ber(args) -> int:
+    from . import channel_sim
+
     report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed)
     text = report.CSV_HEADER + "\n" + report.csv_row() + "\n"
     if args.csv:

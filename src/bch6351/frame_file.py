@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import io
 import os
 import re
 import stat
@@ -94,6 +95,29 @@ def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> i
     return value
 
 
+class _Output(io.FileIO):
+    """A file opened for writing whose write errors name `path`.
+
+    Only the output's own writes, including the flush on close, are named
+    so: an input read error raised in the body of `replacing` is not.
+    """
+
+    def __init__(self, file: int | str, path: str):
+        super().__init__(file, "w")
+        self.path = path
+
+    def write(self, data) -> int:
+        try:
+            return super().write(data)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, self.path) from None
+
+
+def _text_output(file: int | str, path: str) -> io.TextIOWrapper:
+    raw = _Output(file, path)  # a terminal is line-buffered, as under open()
+    return io.TextIOWrapper(io.BufferedWriter(raw), encoding="ascii", line_buffering=raw.isatty())
+
+
 @contextlib.contextmanager
 def replacing(path: str) -> Iterator:
     """Text file whose content replaces `path` if the block ends without an exception.
@@ -108,7 +132,8 @@ def replacing(path: str) -> Iterator:
     /dev/stdout, /dev/stderr and /dev/fd/N are written, not atomically,
     through a duplicate of descriptor 1, 2 or N, so under >> the output
     is appended and under > the file holds exactly the output; a
-    descriptor that is not open raises OSError naming the path.
+    descriptor that is not open raises OSError naming the path, and so
+    does an error while the content is written.
 
     Replacing, unlike rewriting in place, needs write access to the
     target's directory, gives other hard links to the target the old
@@ -127,7 +152,7 @@ def replacing(path: str) -> Iterator:
             mode = os.stat(path).st_mode
         in_place = path if mode is not None and not stat.S_ISREG(mode) else None
     if in_place is not None:
-        with open(in_place, "w", encoding="ascii") as fh:
+        with _text_output(in_place, path) as fh:
             yield fh
         return
     target = os.path.realpath(path)
@@ -141,7 +166,7 @@ def replacing(path: str) -> Iterator:
             reason += " (an output is replaced by a new file made in its directory)"
         raise OSError(exc.errno, reason, path) from None
     try:
-        with open(fd, "w", encoding="ascii") as fh:
+        with _text_output(fd, path) as fh:
             if mode is not None:
                 os.fchmod(fd, stat.S_IMODE(mode))  # a rewritten file keeps its permissions
             yield fh

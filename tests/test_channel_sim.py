@@ -9,9 +9,12 @@ from bch6351.channel_sim import (
     BerReport,
     SplitMix64,
     bernoulli_mask,
+    mix64,
     random_error_pattern,
+    random_error_patterns,
     run_ber_experiment,
     substream_seed,
+    substream_seeds,
 )
 from bch6351.decoder import DecodeStatus, decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
@@ -141,6 +144,73 @@ def test_random_pattern_weight1_uniformity():
     sigma = math.sqrt(draws * (1 / 63) * (62 / 63))
     for position, count in enumerate(counts):
         assert abs(count - mean) < 5 * sigma, f"position {position}: {count}"
+
+
+# --- blocks of frames -----------------------------------------------------
+
+BLOCK_SEEDS = [0, 1, 2**64 - 1] + [random.Random(14).getrandbits(64) for _ in range(3)]
+
+
+def test_substream_seeds_equal_substream_seed():
+    for seed in BLOCK_SEEDS:
+        for count in (1, 255, 256, 257):
+            for first, step in ((0, 1), (1000, 1), (0, 2), (7, 2)):
+                assert substream_seeds(seed, first, count, step) == tuple(
+                    substream_seed(seed, first + j * step) for j in range(count)), \
+                    (seed, first, count, step)
+    with pytest.raises(ValueError):
+        substream_seeds(0, 0, 1, 0)
+
+
+def test_random_error_patterns_equal_random_error_pattern():
+    # every weight over a few frames, and weights up to 5 over block sizes
+    # around 256; the lanes of one block are independent
+    cases = [(n, weight, 1000, 5) for n in (31, 63) for weight in range(n + 1)]
+    cases += [(n, weight, first, count) for n in (31, 63) for weight in (0, 1, 2, 5)
+              for first, count in ((0, 1), (3, 255), (0, 256), (1000, 257))]
+    for seed in BLOCK_SEEDS:
+        for n, weight, first, count in cases:
+            assert random_error_patterns(weight, n, seed, first, count) == [
+                random_error_pattern(weight, n, substream_seed(seed, first + j))
+                for j in range(count)], (seed, n, weight, first, count)
+    with pytest.raises(ValueError):
+        random_error_patterns(4, 3, 0, 0, 1)
+
+
+def unmix64(y):
+    """The inverse of mix64: each odd multiplier is inverted mod 2^64, and
+    each xorshift y = x ^ (x >> s) by iterating x <- y ^ (x >> s), which
+    fixes s more top bits of x per step."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    y = unshift(y, 31)
+    y = y * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    y = unshift(y, 27)
+    y = y * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return unshift(y, 30)
+
+
+def test_a_rejected_draw_takes_the_scalar_path():
+    golden = 0x9E3779B97F4A7C15
+    for y in BLOCK_SEEDS:
+        assert mix64(unmix64(y)) == y
+    # Frame 300's first draw is 2^64 - 1, at or above the rejection limit
+    # 2^64 - 16 for bound 63; taken mod 63 it would put that frame's first
+    # error at position 15.
+    frame_seed = (unmix64(2**64 - 1) - golden) % 2**64
+    seed = (unmix64(frame_seed) - 301 * golden) % 2**64
+    assert seed == 13175526035472669323
+    assert substream_seed(seed, 300) == frame_seed
+    assert SplitMix64(frame_seed).next_u64() == 2**64 - 1
+    assert random_error_pattern(1, 63, frame_seed) != 1 << 15
+    for weight in (1, 2, 5):
+        scalar = [random_error_pattern(weight, 63, substream_seed(seed, j)) for j in range(512)]
+        assert random_error_patterns(weight, 63, seed, 0, 512) == scalar
+        assert random_error_patterns(weight, 63, seed, 256, 256) == scalar[256:]
 
 
 # --- binary symmetric channel ----------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import bch6351
 from bch6351 import cli, decoder
-from bch6351.channel_sim import SplitMix64, substream_seed
+from bch6351.channel_sim import SplitMix64, bernoulli_mask, random_error_pattern, substream_seed
 from bch6351.cli import main
 from bch6351.encoder import MESSAGE_BITS
 from bch6351.frame_file import FrameFileError, parse_frame_file, write_frame_file
@@ -85,6 +85,22 @@ def test_corrupt_determinism(tmp_path):
         assert received == [word ^ reference_mask(0.1, substream_seed(11, i), bits)
                             for i, word in enumerate(words)]
         assert received != words
+
+
+@pytest.mark.parametrize("flags, bits, mask", [
+    (["--weight", "2"], 63, lambda seed: random_error_pattern(2, 63, seed)),
+    (["--bsc", "0.05"], 63, lambda seed: bernoulli_mask(0.05, seed, 63)),
+    (["--short", "--weight", "3"], 31, lambda seed: random_error_pattern(3, 31, seed)),
+], ids=["weight-2", "bsc", "short-weight-3"])
+def test_corrupt_flips_frame_i_by_the_mask_of_sub_seed_i(tmp_path, flags, bits, mask):
+    # 600 frames: two full blocks of masks and a partial one
+    infile, out = tmp_path / "c.hex", tmp_path / "r.hex"
+    words = random_messages(600, seed=5, bits=bits)
+    write_messages(infile, words, short=bits == 31)
+    seed = 2**64 - 3
+    assert main(["corrupt", *flags, "--seed", str(seed), str(infile), str(out)]) == 0
+    received = [int(line, 16) for line in out.read_text().splitlines()]
+    assert received == [word ^ mask(substream_seed(seed, i)) for i, word in enumerate(words)]
 
 
 def test_corrupt_weight_range_is_checked_before_the_input_is_read(tmp_path, capsys):
@@ -281,6 +297,28 @@ def test_decode_keeps_out_when_its_report_cannot_be_written(tmp_path, capsys, ol
     assert sorted(os.listdir(tmp_path)) == before
     if old_out is not None:
         assert out.read_bytes() == old_out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("command", [
+    ["encode", "{words}", "/dev/full"],
+    ["decode", "--report", "/dev/full", "{words}", "{out}"],
+    ["decode", "--report", "{report}", "{words}", "/dev/full"],
+    ["ber", "--p", "0.1", "--frames", "3", "--seed", "1", "--csv", "/dev/full"],
+], ids=["encode", "decode-report", "decode-out", "ber-csv"])
+def test_an_output_that_cannot_be_written_is_named(tmp_path, capsys, command):
+    # /dev/full takes no byte; the error names it, and an input that
+    # cannot be read is still named in its place
+    words = tmp_path / "w.hex"
+    write_messages(words, [0, 1])
+    paths = {"words": words, "out": tmp_path / "o.hex", "report": tmp_path / "r.csv"}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert "No space left on device: '/dev/full'" in capsys.readouterr().err
+    if command[0] != "ber":
+        paths["words"] = tmp_path / "missing.hex"
+        assert main([arg.format(**paths) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert f"{paths['words']}: cannot read" in err and "/dev/full" not in err
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
