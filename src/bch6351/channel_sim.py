@@ -11,12 +11,12 @@ Per-frame sub-seeds are successive outputs of the master seed's stream,
 so frames are independent and results do not depend on evaluation
 order.  The BER harness gives frame i sub-seed indices 2i for its
 message and 2i+1 for its channel noise; the CLI's `corrupt`, which has
-no message to draw, takes frame i's flip mask from index i.  Both
-compute the sub-seeds of BLOCK_FRAMES frames at once, one per 128-bit
-lane of a Python int, and `random_error_patterns` runs every frame's
-Fisher-Yates draws in lanes too.  That changes no output: the one-frame
-functions `substream_seed` and `random_error_pattern` define the stream,
-and every block function returns what they return.
+no message to draw, takes frame i's flip mask from index i.  Both read
+per-frame streams that never end, `substream_seeds` and
+`random_error_patterns`, which compute 256 frames at a time out of the
+caller's sight: a frame's sub-seed and Fisher-Yates draws in its own
+128-bit lane of a Python int.  That changes no output: the one-frame
+functions `substream_seed` and `random_error_pattern` define the streams.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -29,8 +29,9 @@ message, so the counters equal those of the explicit encode -> corrupt
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .gf64 import GfTables
@@ -40,9 +41,8 @@ from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # no
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# Frames whose sub-seeds or error patterns are drawn side by side, one per
-# 128-bit lane; past about 256 lanes a frame costs no less.
-BLOCK_FRAMES = 256
+# Frames drawn side by side, one per 128-bit lane; past about 256 a frame costs no less.
+_BLOCK_FRAMES = 256
 
 
 def mix64(x: int) -> int:
@@ -133,9 +133,9 @@ def _mix_lanes(x: int, low: int) -> int:
     return x ^ (x >> 31)
 
 
-def _lane_values(x: int, count: int) -> tuple[int, ...]:
-    """The low 64 bits of each lane of x, which has `count` lanes."""
-    return struct.unpack(f"<{2 * count}Q", x.to_bytes(16 * count, "little"))[::2]
+def _lane_values(x: int) -> tuple[int, ...]:
+    """The low 64 bits of each lane of x, which has _BLOCK_FRAMES lanes."""
+    return struct.unpack(f"<{2 * _BLOCK_FRAMES}Q", x.to_bytes(16 * _BLOCK_FRAMES, "little"))[::2]
 
 
 def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
@@ -159,20 +159,20 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
-def _substream_lanes(seed: int, first: int, count: int, step: int) -> int:
-    """substream_seed(seed, first + j * step) in lane j, for j < count."""
-    if not 0 < step < 1 << 63:
-        raise ValueError("step must be in 1..2^63-1")
-    ones, low, _, ramp, _ = _lanes(count, 0)
+def _substream_lanes(seed: int, first: int, step: int) -> int:
+    """substream_seed(seed, first + j * step) in lane j, for j < _BLOCK_FRAMES."""
+    ones, low, _, ramp, _ = _lanes(_BLOCK_FRAMES, 0)
     # Lane j of ramp * step is (j + 1) * step * golden mod 2^64, below 2^127.
     base = (seed + (first + 1 - step) * _GOLDEN) & _MASK64
     return _mix_lanes(base * ones + ramp * step, low)
 
 
-def substream_seeds(seed: int, first: int, count: int = BLOCK_FRAMES,
-                    step: int = 1) -> tuple[int, ...]:
-    """substream_seed(seed, first + j * step) for j < count, computed side by side."""
-    return _lane_values(_substream_lanes(seed, first, count, step), count)
+def substream_seeds(seed: int, first: int = 0, step: int = 1) -> Iterator[int]:
+    """substream_seed(seed, first + i * step) for i = 0, 1, 2, ..."""
+    if not 0 < step < 1 << 63:
+        raise ValueError("step must be in 1..2^63-1")
+    return chain.from_iterable(_lane_values(_substream_lanes(seed, block, step))
+                               for block in count(first, _BLOCK_FRAMES * step))
 
 
 class BerReport(NamedTuple):
@@ -243,33 +243,39 @@ def random_error_pattern(weight: int, n: int, seed: int) -> int:
     return mask
 
 
-def random_error_patterns(weight: int, n: int, seed: int, first: int,
-                          count: int = BLOCK_FRAMES) -> list[int]:
-    """random_error_pattern(weight, n, substream_seed(seed, first + j)) for j < count.
-
-    Draw i of every frame's Fisher-Yates runs at once, frame j's in lane
-    j.  A draw at or above its rejection limit (probability below 2^-58)
-    sends the whole block down the scalar path, which draws that frame's
-    next value from its own stream.
-    """
+def random_error_patterns(weight: int, n: int, seed: int) -> Iterator[int]:
+    """random_error_pattern(weight, n, substream_seed(seed, i)) for i = 0, 1, 2, ..."""
+    # Checked in the call, not on the first next() as in a generator function.
     if not 0 <= weight <= n <= CODEWORD_BITS:
         raise ValueError(f"need 0 <= weight <= n <= 63, got weight={weight} n={n}")
-    ones, low, _, _, _ = _lanes(count, 0)
-    states = _substream_lanes(seed, first, count, 1) & low
+    return chain.from_iterable(_error_pattern_block(weight, n, seed, first)
+                               for first in count(0, _BLOCK_FRAMES))
+
+
+def _error_pattern_block(weight: int, n: int, seed: int, first: int) -> list[int]:
+    """Patterns of frames first .. first + _BLOCK_FRAMES - 1, frame first + j's in lane j.
+
+    Draw i of every frame's Fisher-Yates runs at once.  A draw at or above
+    its rejection limit (probability below 2^-58) sends the whole block
+    down the scalar path, which draws that frame's next value from its own
+    stream.
+    """
+    ones, low, _, _, _ = _lanes(_BLOCK_FRAMES, 0)
+    states = _substream_lanes(seed, first, 1) & low
     picks = []
     for i in range(weight):
-        states += _GOLDEN * ones  # lane j holds frame j's SplitMix64 state, below 2^70
-        draws = _lane_values(_mix_lanes(states, low), count)
+        states += _GOLDEN * ones  # lane j holds frame first + j's SplitMix64 state, below 2^70
+        draws = _lane_values(_mix_lanes(states, low))
         if max(draws) >= (1 << 64) - (1 << 64) % (n - i):
-            seeds = substream_seeds(seed, first, count)
-            return [random_error_pattern(weight, n, frame_seed) for frame_seed in seeds]
+            return [random_error_pattern(weight, n, substream_seed(seed, first + j))
+                    for j in range(_BLOCK_FRAMES)]
         picks.append([i + u % (n - i) for u in draws])
     # Swap i of a frame's shuffle exchanges slots i and j, its entry in
     # picks[i], so its slots 0..weight-1 end up holding the image of
     # positions 0..weight-1 under its swaps applied last first.  Before
     # swap i is applied, bits 0..i are still set: it moves bit i to bit j
     # unless bit j is set already.
-    masks = [(1 << weight) - 1] * count
+    masks = [(1 << weight) - 1] * _BLOCK_FRAMES
     for i in reversed(range(weight)):
         masks = [m if m >> j & 1 else m ^ (1 << i | 1 << j) for m, j in zip(masks, picks[i])]
     return masks
@@ -296,10 +302,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     if frames < 1:
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
-    noise_seeds = chain.from_iterable(
-        substream_seeds(seed, 2 * first + 1, min(BLOCK_FRAMES, frames - first), 2)
-        for first in range(0, frames, BLOCK_FRAMES))
-    for noise_seed in noise_seeds:
+    for noise_seed in islice(substream_seeds(seed, 1, 2), frames):
         flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
         if flips == 0:
             continue

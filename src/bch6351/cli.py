@@ -36,7 +36,6 @@ import functools
 import sys
 import time
 from collections.abc import Iterator
-from itertools import chain, count
 from os.path import realpath
 
 from . import reference_oracle
@@ -96,16 +95,14 @@ def _cmd_corrupt(args) -> int:
 
     frames = parse_frame_file(args.infile, "codeword", args.short)
     n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
-    # Sub-seeds and error patterns come a block of frames at a time; map
-    # pairs a mask with each frame as it is read, so the frames before a
-    # rejected line are still written.
-    firsts = count(0, channel_sim.BLOCK_FRAMES)
+    # Frame i's mask comes from sub-seed i; map pairs a mask with each
+    # frame as it is read, so the frames before a rejected line are still
+    # written.
     if args.bsc is not None:
-        seeds = chain.from_iterable(channel_sim.substream_seeds(args.seed, i) for i in firsts)
-        masks = (channel_sim.bernoulli_mask(args.bsc, seed, n) for seed in seeds)
+        masks = (channel_sim.bernoulli_mask(args.bsc, seed, n)
+                 for seed in channel_sim.substream_seeds(args.seed))
     else:
-        masks = chain.from_iterable(
-            channel_sim.random_error_patterns(args.weight, n, args.seed, i) for i in firsts)
+        masks = channel_sim.random_error_patterns(args.weight, n, args.seed)
     write_frame_file(args.outfile, map(int.__xor__, frames, masks), args.short)
     return 0
 

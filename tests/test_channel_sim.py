@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -152,29 +153,33 @@ BLOCK_SEEDS = [0, 1, 2**64 - 1] + [random.Random(14).getrandbits(64) for _ in ra
 
 
 def test_substream_seeds_equal_substream_seed():
+    # 600 seeds cross two block boundaries whatever the step
     for seed in BLOCK_SEEDS:
-        for count in (1, 255, 256, 257):
-            for first, step in ((0, 1), (1000, 1), (0, 2), (7, 2)):
-                assert substream_seeds(seed, first, count, step) == tuple(
-                    substream_seed(seed, first + j * step) for j in range(count)), \
-                    (seed, first, count, step)
-    with pytest.raises(ValueError):
-        substream_seeds(0, 0, 1, 0)
+        for first, step in ((0, 1), (1000, 1), (1, 2), (7, 2)):
+            assert list(islice(substream_seeds(seed, first, step), 600)) == [
+                substream_seed(seed, first + i * step) for i in range(600)], (seed, first, step)
+        assert list(islice(substream_seeds(seed), 300)) == [
+            substream_seed(seed, i) for i in range(300)]
+    # checked in the call, before any seed is taken
+    for step in (0, 2**63):
+        with pytest.raises(ValueError):
+            substream_seeds(0, 0, step)
 
 
 def test_random_error_patterns_equal_random_error_pattern():
-    # every weight over a few frames, and weights up to 5 over block sizes
-    # around 256; the lanes of one block are independent
-    cases = [(n, weight, 1000, 5) for n in (31, 63) for weight in range(n + 1)]
-    cases += [(n, weight, first, count) for n in (31, 63) for weight in (0, 1, 2, 5)
-              for first, count in ((0, 1), (3, 255), (0, 256), (1000, 257))]
+    # every weight over a few frames, and weights up to 5 over frames
+    # that cross two block boundaries; the lanes of one block are independent
+    cases = [(n, weight, 5) for n in (31, 63) for weight in range(n + 1)]
+    cases += [(n, weight, 600) for n in (31, 63) for weight in (0, 1, 2, 5)]
     for seed in BLOCK_SEEDS:
-        for n, weight, first, count in cases:
-            assert random_error_patterns(weight, n, seed, first, count) == [
-                random_error_pattern(weight, n, substream_seed(seed, first + j))
-                for j in range(count)], (seed, n, weight, first, count)
-    with pytest.raises(ValueError):
-        random_error_patterns(4, 3, 0, 0, 1)
+        for n, weight, frames in cases:
+            assert list(islice(random_error_patterns(weight, n, seed), frames)) == [
+                random_error_pattern(weight, n, substream_seed(seed, i))
+                for i in range(frames)], (seed, n, weight, frames)
+    # checked in the call, before any pattern is taken
+    for weight, n in ((4, 3), (-1, 63), (0, 64)):
+        with pytest.raises(ValueError):
+            random_error_patterns(weight, n, 0)
 
 
 def unmix64(y):
@@ -209,8 +214,7 @@ def test_a_rejected_draw_takes_the_scalar_path():
     assert random_error_pattern(1, 63, frame_seed) != 1 << 15
     for weight in (1, 2, 5):
         scalar = [random_error_pattern(weight, 63, substream_seed(seed, j)) for j in range(512)]
-        assert random_error_patterns(weight, 63, seed, 0, 512) == scalar
-        assert random_error_patterns(weight, 63, seed, 256, 256) == scalar[256:]
+        assert list(islice(random_error_patterns(weight, 63, seed), 512)) == scalar
 
 
 # --- binary symmetric channel ----------------------------------------------
@@ -286,6 +290,8 @@ def test_ber_report_invariants(tables):
     (1e-3, 20000, 5),   # ~94% clean frames: the harness skips them
     (0.1, 3000, 6),     # many uncorrectable and miscorrected frames
     (0.5, 500, 7),
+    (0.1, 1, 8),        # one frame
+    (0.05, 257, 9),     # one frame past a full block of noise sub-seeds
 ])
 def test_ber_matches_per_frame_reference(tables, p, frames, seed):
     # re-derive a run frame by frame through the public per-word ops,
@@ -311,7 +317,7 @@ def test_ber_matches_per_frame_reference(tables, p, frames, seed):
     report = run_ber_experiment(p, frames, seed, tables)
     assert (report.pre_fec_bit_errors, report.post_fec_bit_errors,
             report.uncorrectable_frames, report.miscorrected_frames) == (pre, post, unc, mis)
-    if p >= 0.1:
+    if p >= 0.1 and frames > 1:
         assert unc > 0 and mis > 0
 
 

@@ -16,7 +16,7 @@ import bch6351
 from bch6351 import cli, decoder
 from bch6351.channel_sim import SplitMix64, bernoulli_mask, random_error_pattern, substream_seed
 from bch6351.cli import main
-from bch6351.encoder import MESSAGE_BITS
+from bch6351.encoder import CODEWORD_BITS, MESSAGE_BITS, SHORT_PAYLOAD_BITS
 from bch6351.frame_file import FrameFileError, parse_frame_file, write_frame_file
 from test_channel_sim import reference_mask
 
@@ -87,16 +87,32 @@ def test_corrupt_determinism(tmp_path):
         assert received != words
 
 
-@pytest.mark.parametrize("flags, bits, mask", [
-    (["--weight", "2"], 63, lambda seed: random_error_pattern(2, 63, seed)),
-    (["--bsc", "0.05"], 63, lambda seed: bernoulli_mask(0.05, seed, 63)),
-    (["--short", "--weight", "3"], 31, lambda seed: random_error_pattern(3, 31, seed)),
-], ids=["weight-2", "bsc", "short-weight-3"])
-def test_corrupt_flips_frame_i_by_the_mask_of_sub_seed_i(tmp_path, flags, bits, mask):
-    # 600 frames: two full blocks of masks and a partial one
+CORRUPT_MODES = [
+    ("weight-2", ["--weight", "2"], 63, lambda seed: random_error_pattern(2, 63, seed)),
+    ("bsc", ["--bsc", "0.05"], 63, lambda seed: bernoulli_mask(0.05, seed, 63)),
+    ("short-weight-3", ["--short", "--weight", "3"], 31,
+     lambda seed: random_error_pattern(3, 31, seed)),
+]
+# Line i of a frame file, given its digits.  At full width \n lines are read
+# 256 to a block, as the masks are drawn; \r\n lines about 242; and a
+# space-padded line sends its block down the per-line path.
+LINE_LAYOUTS = {
+    "": lambda i, digits: digits + "\n",
+    "-crlf": lambda i, digits: digits + "\r\n",
+    "-padded": lambda i, digits: (" " + digits if i % 100 == 50 else digits) + "\n",
+}
+
+
+@pytest.mark.parametrize("flags, bits, mask, layout", [
+    pytest.param(flags, bits, mask, layout, id=name + suffix)
+    for name, flags, bits, mask in CORRUPT_MODES for suffix, layout in LINE_LAYOUTS.items()])
+def test_corrupt_flips_frame_i_by_the_mask_of_sub_seed_i(tmp_path, flags, bits, mask, layout):
+    # 600 frames: two full blocks of masks and a partial one, whatever the read blocks
     infile, out = tmp_path / "c.hex", tmp_path / "r.hex"
     words = random_messages(600, seed=5, bits=bits)
-    write_messages(infile, words, short=bits == 31)
+    width = 8 if bits == 31 else 16
+    infile.write_bytes("".join(layout(i, format(word, f"0{width}x"))
+                               for i, word in enumerate(words)).encode())
     seed = 2**64 - 3
     assert main(["corrupt", *flags, "--seed", str(seed), str(infile), str(out)]) == 0
     received = [int(line, 16) for line in out.read_text().splitlines()]
@@ -226,13 +242,22 @@ def test_parse_error_wrong_width(tmp_path, capsys):
     assert ":2:" in capsys.readouterr().err
 
 
-def test_parse_error_reserved_bits(tmp_path, capsys):
-    infile = tmp_path / "m.hex"
-    # bit 51 set: not a valid 51-bit message
-    write_messages(infile, [1 << 51])
-    assert main(["encode", str(infile), str(tmp_path / "c.hex")]) == 2
+@pytest.mark.parametrize("command, bits, lines, line", [
+    pytest.param(command, bits, lines, line, id=f"{name}-line-{line}-of-{lines}")
+    for name, command, bits in (("encode", ["encode"], MESSAGE_BITS),
+                                ("encode-short", ["encode", "--short"], SHORT_PAYLOAD_BITS),
+                                ("decode", ["decode"], CODEWORD_BITS))
+    for lines, line in ((1, 1), (600, 300))])
+def test_parse_error_reserved_bits(tmp_path, capsys, command, bits, lines, line):
+    # bare frame lines: the line goes through the block path, which must
+    # find the bit above the frame's value bits and name the line
+    infile = tmp_path / "in.hex"
+    words = random_messages(lines, seed=9, bits=bits)
+    words[line - 1] |= 1 << bits
+    write_messages(infile, words, short="--short" in command)
+    assert main([*command, str(infile), str(tmp_path / "out.hex")]) == 2
     err = capsys.readouterr().err
-    assert ":1:" in err and "reserved" in err
+    assert f":{line}:" in err and "reserved" in err
 
 
 def test_missing_input_file(tmp_path, capsys):
