@@ -2,12 +2,12 @@
 
 The line format and the command-line behaviour are described in the cli
 module.  Frames are read and written in blocks of 256 frames, so memory
-is bounded by the block.  A block of lines that hold only a
-frame's digits and a line end is checked and converted as a whole, and
-any other block line by line, so an error names its line either way.
-This code is kept out of cli because, without cached bytecode, every
-command compiles cli, and the compile of one large module set the peak
-memory of the commands that never read a frame file.
+is bounded by the block.  A block of lines that hold only a frame's
+digits and a line end is checked and converted as a whole, and any other
+block line by line, so an error names its line either way.  This code is
+kept out of cli, which imports it: without cached bytecode every command
+compiles both, and two compiles peak lower than one (by tracemalloc,
+730 KiB for cli, 540 KiB here, 1260 KiB as one module).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[
 def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> int:
     """The frame on one line, or FrameFileError naming the line's first fault."""
     if not line.isascii():
-        column = next(i for i, char in enumerate(line) if char > "\x7f")
+        column = next(i for i, char in enumerate(line) if not char.isascii())
         raise FrameFileError(f"{path}:{lineno}: non-ASCII byte {ord(line[column]):#04x} "
                              f"at column {column + 1}")
     text = line.strip()

@@ -86,17 +86,6 @@ def gf_mul_mse(a: int, b: int) -> int:
 
 # --- binary (GF(2)) polynomial helpers -----------------------------------
 
-def gf2_mul(p: int, q: int) -> int:
-    """Carry-less product of two binary polynomials."""
-    acc = 0
-    while q:
-        if q & 1:
-            acc ^= p
-        p <<= 1
-        q >>= 1
-    return acc
-
-
 def gf2_mod(p: int, q: int) -> int:
     """Remainder of binary polynomial long division p mod q."""
     if q == 0:

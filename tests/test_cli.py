@@ -13,8 +13,14 @@ import tracemalloc
 import pytest
 
 import bch6351
-from bch6351 import cli, decoder
-from bch6351.channel_sim import SplitMix64, bernoulli_mask, random_error_pattern, substream_seed
+from bch6351 import cli, decoder, encoder
+from bch6351.channel_sim import (
+    SplitMix64,
+    bernoulli_mask,
+    random_error_pattern,
+    run_ber_experiment,
+    substream_seed,
+)
 from bch6351.cli import main
 from bch6351.encoder import CODEWORD_BITS, MESSAGE_BITS, SHORT_PAYLOAD_BITS
 from bch6351.frame_file import FrameFileError, parse_frame_file, write_frame_file
@@ -90,6 +96,8 @@ def test_corrupt_determinism(tmp_path):
 CORRUPT_MODES = [
     ("weight-2", ["--weight", "2"], 63, lambda seed: random_error_pattern(2, 63, seed)),
     ("bsc", ["--bsc", "0.05"], 63, lambda seed: bernoulli_mask(0.05, seed, 63)),
+    ("bsc-0", ["--bsc", "0"], 63, lambda seed: 0),
+    ("bsc-1", ["--bsc", "1"], 63, lambda seed: (1 << 63) - 1),
     ("short-weight-3", ["--short", "--weight", "3"], 31,
      lambda seed: random_error_pattern(3, 31, seed)),
 ]
@@ -130,8 +138,11 @@ def test_corrupt_weight_range_is_checked_before_the_input_is_read(tmp_path, caps
             assert exc.value.code == 2
             assert f"--weight must be in 0..{n}" in capsys.readouterr().err
             assert not out.exists()
-        # weight n is in range: every bit of a zero frame flips
+        # both ends are in range: weight 0 flips no bit of a zero frame, weight n every bit
         write_messages(zero, [0], short=bool(flags))
+        assert main(["corrupt", *flags, "--weight", "0", "--seed", "1",
+                     str(zero), str(out)]) == 0
+        assert out.read_bytes() == zero.read_bytes()
         assert main(["corrupt", *flags, "--weight", str(n), "--seed", "1",
                      str(zero), str(out)]) == 0
         assert int(out.read_text(), 16) == (1 << n) - 1
@@ -204,6 +215,7 @@ def test_parse_error_bad_hex(tmp_path, capsys):
     (b"\xa0000000000000002a", "non-ASCII byte 0xa0 at column 1"),
     (b"000000000000002a\x85", "non-ASCII byte 0x85 at column 17"),
     (b" 0000000000\xc3\xa9002a", "non-ASCII byte 0xc3 at column 12"),
+    (b"0\x7f\xe90000000000002a", "non-ASCII byte 0xe9 at column 3"),  # DEL is ASCII
     (b" 2a ", "expected 16 hex digits, got '2a'"),
     (b"0x0000000000002a", "not a hex frame: '0x0000000000002a'"),
     (b"8000000000000000", "reserved bits above bit 62 are set"),
@@ -261,8 +273,9 @@ def test_parse_error_reserved_bits(tmp_path, capsys, command, bits, lines, line)
 
 
 def test_missing_input_file(tmp_path, capsys):
-    assert main(["encode", str(tmp_path / "nope.hex"), str(tmp_path / "c.hex")]) == 2
-    assert "cannot read" in capsys.readouterr().err
+    missing = tmp_path / "nope.hex"
+    assert main(["encode", str(missing), str(tmp_path / "c.hex")]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: cannot read: No such file or directory\n"
     # reported before any output is opened, here in a missing directory
     assert main(["encode", str(tmp_path / "nope.hex"), str(tmp_path / "no" / "c.hex")]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -624,15 +637,17 @@ def test_parse_serialize_identity(tmp_path):
     assert encoded1.read_bytes() == encoded2.read_bytes()
 
 
-def test_ber_subcommand_stdout(capsys, tmp_path):
-    assert main(["ber", "--p", "0.01", "--frames", "500", "--seed", "9"]) == 0
+# p = 0 and p = 1 and one frame are the ends of the accepted ranges
+@pytest.mark.parametrize("p, frames", [(0.01, 500), (0, 5), (1, 5), (0.01, 1)])
+def test_ber_subcommand_stdout(capsys, tmp_path, p, frames):
+    assert main(["ber", "--p", str(p), "--frames", str(frames), "--seed", "9"]) == 0
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "p,frames,seed,pre_fec_ber,post_fec_ber,fer,uncorrectable,miscorrected"
-    assert out[1].startswith("0.01,500,9,")
+    assert out == ["p,frames,seed,pre_fec_ber,post_fec_ber,fer,uncorrectable,miscorrected",
+                   run_ber_experiment(p, frames, 9).csv_row()]
     csv = tmp_path / "ber.csv"
-    assert main(["ber", "--p", "0.01", "--frames", "500", "--seed", "9",
+    assert main(["ber", "--p", str(p), "--frames", str(frames), "--seed", "9",
                  "--csv", str(csv)]) == 0
-    assert csv.read_text().splitlines()[1] == out[1]
+    assert csv.read_text().splitlines() == out
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -703,32 +718,65 @@ def test_selftest_passes(capsys):
     assert all(line.endswith("s)") for line in checks)
 
 
-@pytest.mark.parametrize("entry, bit, verdicts, raised", [
+@pytest.mark.parametrize("table, entry, bit, verdicts, raised", [
     # decode's zero-syndrome re-check raises in the coset certificate
-    (0x03, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
+    ("_B0", 0x03, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
     # build_syndrome_table raises, and both checks that read its table fail
-    (0x01, 1 << 12, ["PASS", "FAIL", "FAIL", "FAIL", "FAIL"], "ValueError: syndrome collision"),
-], ids=["re-check", "key-collision"])
-def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, entry, bit,
+    ("_B0", 0x01, 1 << 12, ["PASS", "FAIL", "FAIL", "FAIL", "FAIL"],
+     "ValueError: syndrome collision"),
+    # the top byte's table is read by the single-byte words placed there
+    ("_B7", 0x01, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
+], ids=["re-check", "key-collision", "top-byte"])
+def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, table, entry, bit,
                                                         verdicts, raised):
-    flipped = list(decoder._B0)
+    flipped = list(getattr(decoder, table))
     flipped[entry] ^= bit
-    monkeypatch.setattr(decoder, "_B0", tuple(flipped))
+    monkeypatch.setattr(decoder, table, tuple(flipped))
     assert main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert [line[:4] for line in lines[:5]] == verdicts
+    assert lines[1].startswith(
+        "FAIL  syndrome certificate (1912 single-byte words): 1 mismatches (")
     assert lines[4].startswith(
         f"FAIL  decoder/oracle coset certificate (4096 cosets): raised {raised}")
     assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
 
 
-def test_selftest_reports_one_wrong_product(monkeypatch, capsys):
+def wrong_product(monkeypatch):
     correct = cli.gf_mul_mse
     monkeypatch.setattr(cli, "gf_mul_mse", lambda a, b: correct(a, b) ^ (a == 5 and b == 9))
+
+
+def wrong_parity_entry(monkeypatch):
+    tables = [list(table) for table in encoder._PARITY_TABLES]
+    tables[6][3] ^= 1
+    monkeypatch.setattr(encoder, "_PARITY_TABLES", tuple(map(tuple, tables)))
+
+
+def wrong_coset_3_word(monkeypatch):
+    # coset 3 keeps its status, so it still counts as correctable
+    correct = cli.decode
+
+    def decode(word):
+        outcome = correct(word)
+        return outcome._replace(corrected=outcome.corrected ^ 1 << 40) if word == 3 else outcome
+
+    monkeypatch.setattr(cli, "decode", decode)
+
+
+@pytest.mark.parametrize("fault, check, message", [
+    (wrong_product, 0, "multiplier equivalence (4096 pairs): 1 mismatches"),
+    (wrong_parity_entry, 2, "encoder certificate (1537 single-byte messages): 1 mismatches"),
+    (wrong_coset_3_word, 4,
+     "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"),
+], ids=["wrong-product", "parity-table-entry", "coset-3-word"])
+def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, check,
+                                                       message):
+    fault(monkeypatch)
     assert main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].startswith("FAIL  multiplier equivalence (4096 pairs): 1 mismatches (")
-    assert [line[:4] for line in lines[1:5]] == ["PASS"] * 4
+    assert lines[check].startswith(f"FAIL  {message} (")
+    assert [line[:4] for i, line in enumerate(lines[:5]) if i != check] == ["PASS"] * 4
     assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
 
 
@@ -760,6 +808,36 @@ def test_no_unused_imports_in_package():
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append((alias.lineno, name))
         assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+def test_every_top_level_definition_has_a_reader_outside_the_tests():
+    # a def, class or assigned name that only tests (or only bench/) read
+    # is API no command uses: it goes, or moves into the tests
+    package = pathlib.Path(bch6351.__file__).parent
+    modules = {path: ast.parse(path.read_text(), filename=str(path))
+               for path in sorted(package.glob("*.py"))}
+    acceptance = pathlib.Path(__file__).with_name("test_acceptance.py")
+    read = set()
+    for tree in [*modules.values(), ast.parse(acceptance.read_text())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path, tree in modules.items():
+        for statement in tree.body:
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = (statement.targets if isinstance(statement, ast.Assign)
+                           else [statement.target])
+                names = [node.id for target in targets for node in ast.walk(target)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+            else:
+                continue
+            unread += [f"{path.name}:{name}" for name in names if name not in read]
+    assert unread == []
 
 
 def test_cli_import_does_not_load_dataclasses():

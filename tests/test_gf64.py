@@ -8,7 +8,6 @@ from bch6351.gf64 import (
     build_tables,
     format_antilog_table,
     gf2_mod,
-    gf2_mul,
     gf_mul_mse,
     gf_mul_table,
 )
@@ -160,7 +159,6 @@ def test_tables_rebuild_identical(tables):
 
 
 def test_gf2_poly_helpers():
-    assert gf2_mul(0b11, 0b11) == 0b101  # (x+1)^2 = x^2+1
     assert gf2_mod(0b101, 0b11) == 0
     with pytest.raises(ZeroDivisionError):
         gf2_mod(0b101, 0)

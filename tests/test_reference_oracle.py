@@ -44,6 +44,11 @@ def test_distinctness_check(syndrome_table):
     first, second = next(keys), next(keys)
     doctored[first] = doctored.pop(second)
     assert not verify_syndrome_distinctness(doctored)
+    # and so must one pattern under two keys, with all 2017 keys kept
+    doctored = dict(syndrome_table)
+    doctored[second] = doctored[first]
+    assert len(doctored) == TABLE_SIZE
+    assert not verify_syndrome_distinctness(doctored)
 
 
 def test_oracle_clean_codeword(tables, syndrome_table):
