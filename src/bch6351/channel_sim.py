@@ -9,14 +9,14 @@ floor(p * 2^53), which is integer-exact for any double p.
 
 Per-frame sub-seeds are successive outputs of the master seed's stream,
 so frames are independent and results do not depend on evaluation
-order.  The BER harness gives frame i sub-seed indices 2i for its
-message and 2i+1 for its channel noise; the CLI's `corrupt`, which has
-no message to draw, takes frame i's flip mask from index i.  Both read
-per-frame streams that never end, `substream_seeds` and
-`random_error_patterns`, which compute 256 frames at a time out of the
-caller's sight: a frame's sub-seed and Fisher-Yates draws in its own
-128-bit lane of a Python int.  That changes no output: the one-frame
-functions `substream_seed` and `random_error_pattern` define the streams.
+order.  There is one such stream, `substream_seeds(seed)`.  The BER
+harness reads its odd positions, 2i+1 for frame i's channel noise, and
+keeps position 2i for its message; the CLI's `corrupt`, which has no
+message to draw, takes frame i's flip mask from position i (through
+`random_error_patterns` for a fixed weight).  Both streams never end and
+compute 256 positions at a time out of the caller's sight, each in its
+own 128-bit lane of a Python int.  That changes no output: the one-frame
+functions `substream_seed` and `random_error_pattern` define them.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -102,7 +102,7 @@ def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int, int]:
     1975).  The guards keep the lanes apart: an addition carries into bit
     64, a multiply by a 64-bit constant fills all 128 bits, and a right
     shift moves the low bits of lane j+1 into the top of lane j.  Masking
-    with LOW after each step drops all of that, which reduces every lane
+    with LOW after each operation drops all of that, which reduces every lane
     mod 2^64 exactly as the scalar generator does.
 
     Returns (ONES, LOW, HIGH, RAMP, THRESHOLDS): 1, 2^64 - 1, 2^64 and
@@ -159,20 +159,16 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
-def _substream_lanes(seed: int, first: int, step: int) -> int:
-    """substream_seed(seed, first + j * step) in lane j, for j < _BLOCK_FRAMES."""
+def _substream_lanes(seed: int, first: int) -> int:
+    """substream_seed(seed, first + j) in lane j, for j < _BLOCK_FRAMES."""
     ones, low, _, ramp, _ = _lanes(_BLOCK_FRAMES, 0)
-    # Lane j of ramp * step is (j + 1) * step * golden mod 2^64, below 2^127.
-    base = (seed + (first + 1 - step) * _GOLDEN) & _MASK64
-    return _mix_lanes(base * ones + ramp * step, low)
+    return _mix_lanes(((seed + first * _GOLDEN) & _MASK64) * ones + ramp, low)
 
 
-def substream_seeds(seed: int, first: int = 0, step: int = 1) -> Iterator[int]:
-    """substream_seed(seed, first + i * step) for i = 0, 1, 2, ..."""
-    if not 0 < step < 1 << 63:
-        raise ValueError("step must be in 1..2^63-1")
-    return chain.from_iterable(_lane_values(_substream_lanes(seed, block, step))
-                               for block in count(first, _BLOCK_FRAMES * step))
+def substream_seeds(seed: int) -> Iterator[int]:
+    """substream_seed(seed, i) for i = 0, 1, 2, ..."""
+    return chain.from_iterable(_lane_values(_substream_lanes(seed, first))
+                               for first in count(0, _BLOCK_FRAMES))
 
 
 class BerReport(NamedTuple):
@@ -261,7 +257,7 @@ def _error_pattern_block(weight: int, n: int, seed: int, first: int) -> list[int
     stream.
     """
     ones, low, _, _, _ = _lanes(_BLOCK_FRAMES, 0)
-    states = _substream_lanes(seed, first, 1) & low
+    states = _substream_lanes(seed, first) & low
     picks = []
     for i in range(weight):
         states += _GOLDEN * ones  # lane j holds frame first + j's SplitMix64 state, below 2^70
@@ -302,7 +298,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     if frames < 1:
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
-    for noise_seed in islice(substream_seeds(seed, 1, 2), frames):
+    for noise_seed in islice(substream_seeds(seed), 1, 2 * frames, 2):
         flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
         if flips == 0:
             continue

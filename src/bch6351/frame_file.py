@@ -86,7 +86,9 @@ def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> i
                              f"at column {column + 1}")
     text = line.strip()
     if len(text) != width:
-        raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {text!r}")
+        # A long line is quoted by its first 40 characters and its length, not whole.
+        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {got}")
     if not _HEX_DIGITS.fullmatch(text):
         raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
     value = int(text, 16)

@@ -38,5 +38,5 @@ def tables():
 
 
 @pytest.fixture(scope="session")
-def syndrome_table(tables):
-    return build_syndrome_table(tables)
+def syndrome_table():
+    return build_syndrome_table()

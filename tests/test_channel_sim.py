@@ -54,6 +54,9 @@ def test_next_bits_width():
     for k in (1, 51, 63, 64, 100):
         for _ in range(50):
             assert SplitMix64(rng.next_u64()).next_bits(k) < (1 << k)
+    # the low 64 bits come from the first draw, the next 36 from the second
+    first, second = 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4
+    assert SplitMix64(0).next_bits(100) == first | (second & (2**36 - 1)) << 64
 
 
 def test_substream_seed_is_stream_output():
@@ -153,17 +156,10 @@ BLOCK_SEEDS = [0, 1, 2**64 - 1] + [random.Random(14).getrandbits(64) for _ in ra
 
 
 def test_substream_seeds_equal_substream_seed():
-    # 600 seeds cross two block boundaries whatever the step
+    # 600 seeds cross two block boundaries
     for seed in BLOCK_SEEDS:
-        for first, step in ((0, 1), (1000, 1), (1, 2), (7, 2)):
-            assert list(islice(substream_seeds(seed, first, step), 600)) == [
-                substream_seed(seed, first + i * step) for i in range(600)], (seed, first, step)
-        assert list(islice(substream_seeds(seed), 300)) == [
-            substream_seed(seed, i) for i in range(300)]
-    # checked in the call, before any seed is taken
-    for step in (0, 2**63):
-        with pytest.raises(ValueError):
-            substream_seeds(0, 0, step)
+        assert list(islice(substream_seeds(seed), 600)) == [
+            substream_seed(seed, i) for i in range(600)], seed
 
 
 def test_random_error_patterns_equal_random_error_pattern():
@@ -203,18 +199,20 @@ def test_a_rejected_draw_takes_the_scalar_path():
     golden = 0x9E3779B97F4A7C15
     for y in BLOCK_SEEDS:
         assert mix64(unmix64(y)) == y
-    # Frame 300's first draw is 2^64 - 1, at or above the rejection limit
-    # 2^64 - 16 for bound 63; taken mod 63 it would put that frame's first
-    # error at position 15.
-    frame_seed = (unmix64(2**64 - 1) - golden) % 2**64
-    seed = (unmix64(frame_seed) - 301 * golden) % 2**64
-    assert seed == 13175526035472669323
-    assert substream_seed(seed, 300) == frame_seed
-    assert SplitMix64(frame_seed).next_u64() == 2**64 - 1
-    assert random_error_pattern(1, 63, frame_seed) != 1 << 15
-    for weight in (1, 2, 5):
-        scalar = [random_error_pattern(weight, 63, substream_seed(seed, j)) for j in range(512)]
-        assert list(islice(random_error_patterns(weight, 63, seed), 512)) == scalar
+    # Frame 300's first draw is at or above the rejection limit 2^64 - 16
+    # for bound 63: 2^64 - 1, which taken mod 63 would put that frame's
+    # first error at position 15, or the limit itself, at position 0.
+    for draw, position, want_seed in ((2**64 - 1, 15, 13175526035472669323),
+                                      (2**64 - 16, 0, 6799772398558461791)):
+        frame_seed = (unmix64(draw) - golden) % 2**64
+        seed = (unmix64(frame_seed) - 301 * golden) % 2**64
+        assert seed == want_seed
+        assert substream_seed(seed, 300) == frame_seed
+        assert SplitMix64(frame_seed).next_u64() == draw
+        assert random_error_pattern(1, 63, frame_seed) != 1 << position
+        for weight in (1, 2, 5):
+            scalar = [random_error_pattern(weight, 63, substream_seed(seed, j)) for j in range(512)]
+            assert list(islice(random_error_patterns(weight, 63, seed), 512)) == scalar, draw
 
 
 # --- binary symmetric channel ----------------------------------------------
@@ -263,23 +261,23 @@ def test_bsc_mean_flips_at_half():
 
 # --- BER harness ----------------------------------------------------------
 
-def test_ber_noiseless_channel(tables):
-    report = run_ber_experiment(0.0, 500, 1, tables)
+def test_ber_noiseless_channel():
+    report = run_ber_experiment(0.0, 500, 1)
     assert report.frames == 500
     assert report.pre_fec_bit_errors == 0
     assert report.post_fec_bit_errors == 0
     assert report.frame_errors == 0
 
 
-def test_ber_determinism(tables):
-    first = run_ber_experiment(0.01, 2000, 42, tables)
-    second = run_ber_experiment(0.01, 2000, 42, tables)
+def test_ber_determinism():
+    first = run_ber_experiment(0.01, 2000, 42)
+    second = run_ber_experiment(0.01, 2000, 42)
     assert first == second
     assert first.csv_row() == second.csv_row()
 
 
-def test_ber_report_invariants(tables):
-    report = run_ber_experiment(0.02, 3000, 3, tables)
+def test_ber_report_invariants():
+    report = run_ber_experiment(0.02, 3000, 3)
     assert report.frame_errors == report.uncorrectable_frames + report.miscorrected_frames
     assert report.frames == 3000
     assert 0 <= report.post_fec_ber <= report.pre_fec_ber <= 1
@@ -291,9 +289,9 @@ def test_ber_report_invariants(tables):
     (0.1, 3000, 6),     # many uncorrectable and miscorrected frames
     (0.5, 500, 7),
     (0.1, 1, 8),        # one frame
-    (0.05, 257, 9),     # one frame past a full block of noise sub-seeds
+    (0.05, 257, 9),     # noise positions 1..513 cross two 256-position blocks
 ])
-def test_ber_matches_per_frame_reference(tables, p, frames, seed):
+def test_ber_matches_per_frame_reference(p, frames, seed):
     # re-derive a run frame by frame through the public per-word ops,
     # message and noise drawn for every frame, clean or not
     pre = post = unc = mis = 0
@@ -302,7 +300,7 @@ def test_ber_matches_per_frame_reference(tables, p, frames, seed):
         message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
         codeword = encode_lfsr(message)
         received = codeword ^ bernoulli_mask(p, substream_seed(seed, 2 * i + 1), 63)
-        outcome = decode(received, tables)
+        outcome = decode(received)
         if outcome.status is DecodeStatus.UNCORRECTABLE:
             delivered = (received >> 12) & mask51
         else:
@@ -314,14 +312,14 @@ def test_ber_matches_per_frame_reference(tables, p, frames, seed):
                 unc += 1
             else:
                 mis += 1
-    report = run_ber_experiment(p, frames, seed, tables)
+    report = run_ber_experiment(p, frames, seed)
     assert (report.pre_fec_bit_errors, report.post_fec_bit_errors,
             report.uncorrectable_frames, report.miscorrected_frames) == (pre, post, unc, mis)
     if p >= 0.1 and frames > 1:
         assert unc > 0 and mis > 0
 
 
-def test_ber_weight_le2_frames_never_err(tables):
+def test_ber_weight_le2_frames_never_err():
     # frames whose channel mask has weight <= 2 must deliver the message
     p, seed = 0.02, 616
     for i in range(2000):
@@ -329,24 +327,24 @@ def test_ber_weight_le2_frames_never_err(tables):
         if flips.bit_count() > 2:
             continue
         message = SplitMix64(substream_seed(seed, 2 * i)).next_bits(MESSAGE_BITS)
-        outcome = decode(encode_lfsr(message) ^ flips, tables)
+        outcome = decode(encode_lfsr(message) ^ flips)
         assert outcome.status is not DecodeStatus.UNCORRECTABLE
         assert (outcome.corrected >> 12) == message
 
 
-def test_ber_monotone_in_crossover_probability(tables):
-    high = sum(run_ber_experiment(1e-2, 2000, s, tables).fer for s in range(10)) / 10
-    low = sum(run_ber_experiment(1e-3, 2000, s, tables).fer for s in range(10)) / 10
+def test_ber_monotone_in_crossover_probability():
+    high = sum(run_ber_experiment(1e-2, 2000, s).fer for s in range(10)) / 10
+    low = sum(run_ber_experiment(1e-3, 2000, s).fer for s in range(10)) / 10
     assert high > low
 
 
-def test_ber_requires_frames(tables):
+def test_ber_requires_frames():
     with pytest.raises(ValueError):
-        run_ber_experiment(0.1, 0, 1, tables)
+        run_ber_experiment(0.1, 0, 1)
 
 
-def test_csv_format(tables):
-    report = run_ber_experiment(0.01, 100, 8, tables)
+def test_csv_format():
+    report = run_ber_experiment(0.01, 100, 8)
     assert BerReport.CSV_HEADER == \
         "p,frames,seed,pre_fec_ber,post_fec_ber,fer,uncorrectable,miscorrected"
     fields = report.csv_row().split(",")

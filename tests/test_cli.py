@@ -217,6 +217,10 @@ def test_parse_error_bad_hex(tmp_path, capsys):
     (b" 0000000000\xc3\xa9002a", "non-ASCII byte 0xc3 at column 12"),
     (b"0\x7f\xe90000000000002a", "non-ASCII byte 0xe9 at column 3"),  # DEL is ASCII
     (b" 2a ", "expected 16 hex digits, got '2a'"),
+    pytest.param(b"0" * 40, f"expected 16 hex digits, got '{'0' * 40}'", id="40-digits"),
+    pytest.param(b"0" * 100_000,  # quoted by its first 40 characters and its length
+                 f"expected 16 hex digits, got '{'0' * 40}'... (100000 characters)",
+                 id="100000-digits"),
     (b"0x0000000000002a", "not a hex frame: '0x0000000000002a'"),
     (b"8000000000000000", "reserved bits above bit 62 are set"),
 ])
@@ -247,11 +251,17 @@ def test_lines_split_as_bytes_splitlines(tmp_path):
             assert list(parse_frame_file(str(path), "codeword", short=False)) == words
 
 
-def test_parse_error_wrong_width(tmp_path, capsys):
+def test_parse_error_wrong_width(tmp_path, capsys, monkeypatch):
     infile = tmp_path / "m.hex"
     infile.write_text("0000000000000000\nabc\n")
     assert main(["encode", str(infile), str(tmp_path / "c.hex")]) == 2
     assert ":2:" in capsys.readouterr().err
+    # a long line is not echoed whole
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "long.hex").write_text("0" * 100_000 + "\n")
+    assert main(["decode", "long.hex", "out.hex"]) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 200 and "long.hex:1:" in err and "(100000 characters)" in err, err
 
 
 @pytest.mark.parametrize("command, bits, lines, line", [

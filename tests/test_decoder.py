@@ -1,6 +1,8 @@
 """Decoder checks: syndromes, locator, Chien search, full classification."""
 
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -44,18 +46,18 @@ def test_syndromes_equal_definitional_loop(tables):
     rng = SplitMix64(0x5D)
     words = [1 << j for j in range(63)] + [rng.next_bits(63) for _ in range(10_000)]
     for word in words:
-        assert compute_syndromes(word, tables) == definitional_syndromes(word, tables)
+        assert compute_syndromes(word) == definitional_syndromes(word, tables)
 
 
-def test_syndromes_zero_for_codewords(tables):
+def test_syndromes_zero_for_codewords():
     rng = SplitMix64(21)
     for _ in range(300):
         codeword = encode_lfsr(rng.next_bits(MESSAGE_BITS))
-        assert compute_syndromes(codeword, tables) == (0, 0, 0)
+        assert compute_syndromes(codeword) == (0, 0, 0)
 
 
-def test_syndromes_single_error_at_zero(tables):
-    assert compute_syndromes(1, tables) == (1, 1, 1)
+def test_syndromes_single_error_at_zero():
+    assert compute_syndromes(1) == (1, 1, 1)
 
 
 def test_syndromes_single_error_every_position(tables):
@@ -65,17 +67,17 @@ def test_syndromes_single_error_every_position(tables):
             tables.antilog[2 * j % 63],
             tables.antilog[3 * j % 63],
         )
-        assert compute_syndromes(1 << j, tables) == expected
+        assert compute_syndromes(1 << j) == expected
 
 
-def test_syndrome_linearity(tables):
+def test_syndrome_linearity():
     rng = SplitMix64(33)
     for _ in range(500):
         r = rng.next_bits(63)
         e = rng.next_bits(63)
-        sr = compute_syndromes(r, tables)
-        se = compute_syndromes(e, tables)
-        combined = compute_syndromes(r ^ e, tables)
+        sr = compute_syndromes(r)
+        se = compute_syndromes(e)
+        combined = compute_syndromes(r ^ e)
         assert combined == tuple(a ^ b for a, b in zip(sr, se))
 
 
@@ -83,24 +85,24 @@ def test_s2_is_square_of_s1(tables):
     rng = SplitMix64(44)
     words = [rng.next_bits(63) for _ in range(1000)] + weight_le2_masks(63)
     for word in words:
-        s1, s2, _ = compute_syndromes(word, tables)
+        s1, s2, _ = compute_syndromes(word)
         assert s2 == gf_mul_table(s1, s1, tables)
 
 
-def test_syndromes_reject_oversized_word(tables):
+def test_syndromes_reject_oversized_word():
     with pytest.raises(ValueError):
-        compute_syndromes(1 << 63, tables)
+        compute_syndromes(1 << 63)
 
 
 # --- locator --------------------------------------------------------------
 
-def test_locator_of_zero_syndromes(tables):
-    assert solve_locator(compute_syndromes(0, tables)) == (0, 0, 0)
+def test_locator_of_zero_syndromes():
+    assert solve_locator(compute_syndromes(0)) == (0, 0, 0)
 
 
 def test_locator_quadratic_term_cancels_for_single_errors(tables):
     for j in range(63):
-        lambda0, _, lambda2 = solve_locator(compute_syndromes(1 << j, tables))
+        lambda0, _, lambda2 = solve_locator(compute_syndromes(1 << j))
         assert lambda2 == 0
         assert lambda0 == tables.antilog[j]
 
@@ -108,7 +110,7 @@ def test_locator_quadratic_term_cancels_for_single_errors(tables):
 def test_locator_lambda1_is_lambda0_squared(tables):
     rng = SplitMix64(55)
     for _ in range(1000):
-        lambda0, lambda1, _ = solve_locator(compute_syndromes(rng.next_bits(63), tables))
+        lambda0, lambda1, _ = solve_locator(compute_syndromes(rng.next_bits(63)))
         assert lambda1 == gf_mul_table(lambda0, lambda0, tables)
 
 
@@ -131,14 +133,14 @@ def test_chien_single_error_at_zero():
     assert chien_search((1, 1, 0)) == {0}
 
 
-def test_chien_every_single_error_position(tables):
+def test_chien_every_single_error_position():
     for j in range(63):
-        loc = solve_locator(compute_syndromes(1 << j, tables))
+        loc = solve_locator(compute_syndromes(1 << j))
         assert chien_search(loc) == {j}
 
 
-def test_chien_double_error(tables):
-    syndromes = compute_syndromes(1 << 2 | 1 << 5, tables)
+def test_chien_double_error():
+    syndromes = compute_syndromes(1 << 2 | 1 << 5)
     loc = solve_locator(syndromes)
     assert loc[2] != 0
     assert chien_search(loc) == {2, 5}
@@ -219,22 +221,22 @@ def test_apply_correction_out_of_range():
 
 # --- full decode ----------------------------------------------------------
 
-def test_decode_clean(tables):
+def test_decode_clean():
     codeword = encode_lfsr(0x123456789ABCD)
-    outcome = decode(codeword, tables)
+    outcome = decode(codeword)
     assert outcome.status is DecodeStatus.NO_ERROR
     assert outcome.positions == frozenset()
     assert outcome.corrected == codeword
 
 
-def test_decode_all_weight_le2_patterns(tables):
+def test_decode_all_weight_le2_patterns():
     rng = SplitMix64(77)
     masks = weight_le2_masks(63)
     for _ in range(3):
         message = rng.next_bits(MESSAGE_BITS)
         codeword = encode_lfsr(message)
         for mask in masks:
-            outcome = decode(codeword ^ mask, tables)
+            outcome = decode(codeword ^ mask)
             assert outcome.status is DecodeStatus.CORRECTED
             assert outcome.corrected == codeword
             assert outcome.positions == frozenset(
@@ -242,19 +244,19 @@ def test_decode_all_weight_le2_patterns(tables):
             )
 
 
-def test_decode_raises_when_recheck_fails(tables, monkeypatch):
+def test_decode_raises_when_recheck_fails(monkeypatch):
     # an explicit check, not an assert, so it also holds under python -O
     monkeypatch.setattr(decoder, "apply_correction", lambda word, positions: word)
     with pytest.raises(RuntimeError, match="re-check"):
-        decode(1 << 5, tables)
+        decode(1 << 5)
 
 
-def test_decode_equals_oracle_on_every_coset(tables, syndrome_table):
+def test_decode_equals_oracle_on_every_coset(syndrome_table):
     # words 0..4095 are the 4096 remainders mod g(x): one per coset
     correctable = 0
     for word in range(1 << PARITY_BITS):
-        outcome = decode(word, tables)
-        reference = brute_force_decode(word, syndrome_table, tables)
+        outcome = decode(word)
+        reference = brute_force_decode(word, syndrome_table)
         assert (outcome.status, outcome.positions, outcome.corrected) == \
             (reference.status, reference.positions, reference.corrected), word
         correctable += outcome.status is not DecodeStatus.UNCORRECTABLE
@@ -262,7 +264,7 @@ def test_decode_equals_oracle_on_every_coset(tables, syndrome_table):
     assert (1 << PARITY_BITS) - correctable == 2079
 
 
-def test_decode_weight3_bounded_distance_policy(tables, syndrome_table):
+def test_decode_weight3_bounded_distance_policy(syndrome_table):
     rng = SplitMix64(88)
     saw_uncorrectable = saw_miscorrection = False
     for _ in range(2000):
@@ -274,8 +276,8 @@ def test_decode_weight3_bounded_distance_policy(tables, syndrome_table):
         for p in positions:
             mask |= 1 << p
         received = codeword ^ mask
-        outcome = decode(received, tables)
-        reference = brute_force_decode(received, syndrome_table, tables)
+        outcome = decode(received)
+        reference = brute_force_decode(received, syndrome_table)
         assert outcome.status is reference.status
         if outcome.status is DecodeStatus.UNCORRECTABLE:
             saw_uncorrectable = True
@@ -285,38 +287,115 @@ def test_decode_weight3_bounded_distance_policy(tables, syndrome_table):
             saw_miscorrection = True
             assert outcome.status is DecodeStatus.CORRECTED
             assert outcome.corrected != codeword
-            assert compute_syndromes(outcome.corrected, tables) == (0, 0, 0)
+            assert compute_syndromes(outcome.corrected) == (0, 0, 0)
             assert (outcome.corrected ^ received).bit_count() <= 2
             assert outcome.positions == reference.positions
     assert saw_uncorrectable and saw_miscorrection
 
 
-def test_decode_degenerate_syndromes_s1_zero(tables):
+def test_decode_degenerate_syndromes_s1_zero():
     # weight-3 pattern whose positions are one conjugacy coset apart can
     # zero S1 while leaving S3 nonzero; search for one and check the policy
     rng = SplitMix64(99)
     found = False
     for _ in range(5000):
         word = rng.next_bits(63)
-        s1, _, s3 = compute_syndromes(word, tables)
+        s1, _, s3 = compute_syndromes(word)
         if s1 == 0 and s3 != 0:
             found = True
-            outcome = decode(word, tables)
+            outcome = decode(word)
             assert outcome.status is DecodeStatus.UNCORRECTABLE
             assert outcome.corrected is None
     assert found
 
 
+# --- the paper's inversion-less Berlekamp-Massey --------------------------
+
+def ibm_locator(syndromes, product):
+    """Inversion-less Berlekamp-Massey for t = len(syndromes) / 2, S1..S2t given.
+
+    The iBM recursion of Reed & Shih (IEE Proc. E 138(5), 1991) as stated
+    by Sarwate & Shanbhag (IEEE TVLSI 9(5), 2001): each round scales the
+    locator by gamma instead of dividing by the discrepancy.  Lambda and B
+    hold 2t + 1 coefficients, enough for every degree the 2t rounds reach,
+    so a locator of degree above t is returned whole rather than cut to t.
+    `product` is the field's multiplication table.
+    """
+    size = len(syndromes) + 1
+    locator, b = [1] + [0] * (size - 1), [1] + [0] * (size - 1)
+    gamma, k = 1, 0
+    for r in range(len(syndromes)):
+        delta = 0
+        for i in range(r + 1):
+            delta ^= product[syndromes[r - i]][locator[i]]
+        scaled = [product[gamma][c] for c in locator]
+        shifted = [0] + b[:-1]
+        new = [x ^ product[delta][y] for x, y in zip(scaled, shifted)]
+        if delta and k >= 0:
+            b, gamma, k = locator, delta, -k - 1
+        else:
+            b, k = shifted, k + 1
+        locator = new
+    return locator
+
+
+def ibm_decode(word, tables, product):
+    """(status, positions) of a 63-bit word through iBM and a 63-step Chien search."""
+    s1, s2, s3 = definitional_syndromes(word, tables)
+    if (s1, s2, s3) == (0, 0, 0):
+        return DecodeStatus.NO_ERROR, frozenset()
+    locator = ibm_locator([s1, s2, s3, product[s2][s2]], product)
+    degree = max(i for i, c in enumerate(locator) if c)
+    if degree > 2:
+        return DecodeStatus.UNCORRECTABLE, frozenset()
+    # Step j evaluates the locator at alpha^j, then multiplies term i by alpha^i.
+    terms, alpha_powers, positions = list(locator), tables.antilog[:len(locator)], set()
+    for j in range(63):
+        if reduce(xor, terms) == 0:
+            positions.add((63 - j) % 63)
+        terms = [product[c][a] for c, a in zip(terms, alpha_powers)]
+    if len(positions) != degree:
+        return DecodeStatus.UNCORRECTABLE, frozenset()
+    return DecodeStatus.CORRECTED, frozenset(positions)
+
+
+@pytest.fixture(scope="module")
+def product(tables):
+    """product[a][b] is a*b in the field."""
+    return [[gf_mul_table(a, b, tables) for b in range(64)] for a in range(64)]
+
+
+def test_ibm_locator_is_a_multiple_of_solve_locator(product):
+    for s1 in range(1, 64):
+        s2 = product[s1][s1]
+        for s3 in range(64):
+            closed = solve_locator((s1, s2, s3))
+            locator = ibm_locator([s1, s2, s3, product[s2][s2]], product)
+            # locator = c * closed for a nonzero c: cross-multiply by closed[0] = S1 != 0
+            assert locator[0] and locator[3:] == [0, 0], (s1, s3)
+            assert [product[x][s1] for x in locator[:3]] == \
+                [product[locator[0]][y] for y in closed], (s1, s3)
+
+
+def test_ibm_classifies_every_coset_as_decode(tables, product):
+    # words 0..4095 are one per coset; the 63 with S1 = 0 and S3 != 0 get a
+    # degree-3 iBM locator, 21 of them with three roots, which the degree
+    # check makes uncorrectable
+    for word in range(1 << PARITY_BITS):
+        outcome = decode(word)
+        assert ibm_decode(word, tables, product) == (outcome.status, outcome.positions), word
+
+
 # --- shortened decode -----------------------------------------------------
 
-def test_decode_shortened_clean(tables):
+def test_decode_shortened_clean():
     payload = 0x6A5F3
-    outcome = decode_shortened(encode_shortened(payload), tables)
+    outcome = decode_shortened(encode_shortened(payload))
     assert outcome.status is DecodeStatus.NO_ERROR
     assert outcome.corrected == payload
 
 
-def test_decode_shortened_all_weight_le2_patterns(tables):
+def test_decode_shortened_all_weight_le2_patterns():
     rng = SplitMix64(101)
     masks = weight_le2_masks(31)
     assert len(masks) == 31 + 465
@@ -324,12 +403,12 @@ def test_decode_shortened_all_weight_le2_patterns(tables):
         payload = rng.next_bits(19)
         short = encode_shortened(payload)
         for mask in masks:
-            outcome = decode_shortened(short ^ mask, tables)
+            outcome = decode_shortened(short ^ mask)
             assert outcome.status is DecodeStatus.CORRECTED
             assert outcome.corrected == payload
 
 
-def test_decode_shortened_root_in_padding_is_uncorrectable(tables):
+def test_decode_shortened_root_in_padding_is_uncorrectable():
     # find a weight-3 corruption of a shortened word whose full-length
     # decode lands an error position in the untransmitted region
     rng = SplitMix64(202)
@@ -341,37 +420,37 @@ def test_decode_shortened_root_in_padding_is_uncorrectable(tables):
         while mask.bit_count() < 3:
             mask |= 1 << rng.next_below(31)
         received = short ^ mask
-        full = decode(received, tables)
+        full = decode(received)
         if full.status is DecodeStatus.CORRECTED and any(p >= 31 for p in full.positions):
             found = True
-            outcome = decode_shortened(received, tables)
+            outcome = decode_shortened(received)
             assert outcome.status is DecodeStatus.UNCORRECTABLE
             assert outcome.corrected is None
             break
     assert found
 
 
-def test_decode_shortened_equals_restricted_oracle_on_every_coset(tables, syndrome_table):
+def test_decode_shortened_equals_restricted_oracle_on_every_coset(syndrome_table):
     # The words below 2^12 are one per coset of the shortened code too.  The
     # reference corrects exactly the weight <= 2 patterns inside the 31 sent
     # bits, taken from the oracle's patterns, never from the algebraic path.
     inside = {key: mask for key, mask in syndrome_table.items() if mask >> 31 == 0}
     disagreements = correctable = 0
     for word in range(1 << PARITY_BITS):
-        mask = inside.get(syndrome_key(compute_syndromes(word, tables)))
+        mask = inside.get(syndrome_key(compute_syndromes(word)))
         if mask is None:
             want = (DecodeStatus.UNCORRECTABLE, frozenset(), None)
         else:
             status = DecodeStatus.CORRECTED if mask else DecodeStatus.NO_ERROR
             positions = frozenset(i for i in range(31) if mask >> i & 1)
             want = (status, positions, (word ^ mask) >> PARITY_BITS)
-        outcome = decode_shortened(word, tables)
+        outcome = decode_shortened(word)
         disagreements += tuple(outcome) != want
         correctable += outcome.status is not DecodeStatus.UNCORRECTABLE
     assert disagreements == 0
     assert correctable == len(inside) == 1 + 31 + 465 == 497
 
 
-def test_decode_shortened_rejects_oversized(tables):
+def test_decode_shortened_rejects_oversized():
     with pytest.raises(ValueError):
-        decode_shortened(1 << 31, tables)
+        decode_shortened(1 << 31)

@@ -31,8 +31,8 @@ def test_single_error_keys(tables, syndrome_table):
         assert syndrome_table[key] == 1 << j
 
 
-def test_build_is_deterministic(tables, syndrome_table):
-    assert build_syndrome_table(tables) == syndrome_table
+def test_build_is_deterministic(syndrome_table):
+    assert build_syndrome_table() == syndrome_table
 
 
 def test_distinctness_check(syndrome_table):
@@ -51,44 +51,44 @@ def test_distinctness_check(syndrome_table):
     assert not verify_syndrome_distinctness(doctored)
 
 
-def test_oracle_clean_codeword(tables, syndrome_table):
+def test_oracle_clean_codeword(syndrome_table):
     codeword = encode_lfsr(0x123ABC)
-    outcome = brute_force_decode(codeword, syndrome_table, tables)
+    outcome = brute_force_decode(codeword, syndrome_table)
     assert outcome.status is DecodeStatus.NO_ERROR
     assert outcome.corrected == codeword
 
 
-def test_oracle_recovers_every_weight_le2_pattern(tables, syndrome_table):
+def test_oracle_recovers_every_weight_le2_pattern(syndrome_table):
     codeword = encode_lfsr(SplitMix64(1).next_bits(MESSAGE_BITS))
     masks = [1 << i for i in range(63)]
     masks += [1 << i | 1 << j for i, j in combinations(range(63), 2)]
     for mask in masks:
-        outcome = brute_force_decode(codeword ^ mask, syndrome_table, tables)
+        outcome = brute_force_decode(codeword ^ mask, syndrome_table)
         assert outcome.status is DecodeStatus.CORRECTED
         assert outcome.corrected == codeword
         assert outcome.positions == frozenset(i for i in range(63) if mask >> i & 1)
 
 
-def test_oracle_miss_is_uncorrectable(tables, syndrome_table):
+def test_oracle_miss_is_uncorrectable(syndrome_table):
     rng = SplitMix64(2)
     found = False
     for _ in range(1000):
         word = rng.next_bits(63)
-        key = syndrome_key(compute_syndromes(word, tables))
+        key = syndrome_key(compute_syndromes(word))
         if key not in syndrome_table:
             found = True
-            outcome = brute_force_decode(word, syndrome_table, tables)
+            outcome = brute_force_decode(word, syndrome_table)
             assert outcome.status is DecodeStatus.UNCORRECTABLE
             assert outcome.corrected is None
     assert found
 
 
-def test_oracle_agrees_with_decoder_on_random_words(tables, syndrome_table):
+def test_oracle_agrees_with_decoder_on_random_words(syndrome_table):
     rng = SplitMix64(3)
     for _ in range(20_000):
         word = rng.next_bits(63)
-        ours = decode(word, tables)
-        reference = brute_force_decode(word, syndrome_table, tables)
+        ours = decode(word)
+        reference = brute_force_decode(word, syndrome_table)
         assert ours.status is reference.status
         assert ours.positions == reference.positions
         assert ours.corrected == reference.corrected
