@@ -35,7 +35,7 @@ from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .gf64 import GfTables
-from .decoder import DecodeStatus, decode
+from .decoder import decode
 # encode_lfsr is not called here; bench/run.py traces it as channel_sim.encode_lfsr.
 from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # noqa: F401
 
@@ -94,7 +94,7 @@ def substream_seed(seed: int, index: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int, int]:
+def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int]:
     """Constants that run `nbits` SplitMix64 draws side by side in one int.
 
     Draw j lives in lane j, bits 128j .. 128j+127 of the int: 64 value
@@ -105,14 +105,14 @@ def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int, int]:
     with LOW after each operation drops all of that, which reduces every lane
     mod 2^64 exactly as the scalar generator does.
 
-    Returns (ONES, LOW, HIGH, RAMP, THRESHOLDS): 1, 2^64 - 1, 2^64 and
-    `threshold` in every lane, and RAMP's (j+1) * golden mod 2^64 in lane
-    j, so (seed * ONES + RAMP) & LOW is SplitMix64(seed)'s j-th state.
+    Returns (ONES, LOW, RAMP, BIAS): 1, 2^64 - 1 and 2^64 - `threshold` in
+    every lane, and RAMP's (j+1) * golden mod 2^64 in lane j, so
+    (seed * ONES + RAMP) & LOW is SplitMix64(seed)'s j-th state.
     """
     ones = int.from_bytes((b"\x01" + bytes(15)) * nbits, "little")
     ramp = int.from_bytes(b"".join((((j + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
                                    for j in range(nbits)), "little")
-    return ones, _MASK64 * ones, ones << 64, ramp, threshold * ones
+    return ones, _MASK64 * ones, ramp, ((1 << 64) - threshold) * ones
 
 
 # Lane j's byte holding its bit 64 reads 0 where draw j fell below the
@@ -150,18 +150,18 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     if nbits <= 0:
         return 0
     threshold = int(p * 9007199254740992.0) << 11  # p * 2^53, exact
-    ones, low, high, ramp, thresholds = _lanes(nbits, threshold)
-    # Each lane of x is 2^64 + draw - threshold, at least 0 because the
-    # threshold is at most 2^64, so no borrow leaves a lane and bit 64 is
-    # clear exactly where draw < threshold.
-    x = (_mix_lanes((seed & _MASK64) * ones + ramp, low) | high) - thresholds
+    ones, low, ramp, bias = _lanes(nbits, threshold)
+    # _mix_lanes leaves a lane's bits 64..96 at 0 and the threshold is at
+    # most 2^64, so the bias makes bits 0..64 draw + 2^64 - threshold < 2^65:
+    # no carry passes bit 64, which is clear exactly where draw < threshold.
+    x = _mix_lanes((seed & _MASK64) * ones + ramp, low) + bias
     # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
 
 
 def _substream_lanes(seed: int, first: int) -> int:
     """substream_seed(seed, first + j) in lane j, for j < _BLOCK_FRAMES."""
-    ones, low, _, ramp, _ = _lanes(_BLOCK_FRAMES, 0)
+    ones, low, ramp, _ = _lanes(_BLOCK_FRAMES, 0)
     return _mix_lanes(((seed + first * _GOLDEN) & _MASK64) * ones + ramp, low)
 
 
@@ -256,7 +256,7 @@ def _error_pattern_block(weight: int, n: int, seed: int, first: int) -> list[int
     down the scalar path, which draws that frame's next value from its own
     stream.
     """
-    ones, low, _, _, _ = _lanes(_BLOCK_FRAMES, 0)
+    ones, low, _, _ = _lanes(_BLOCK_FRAMES, 0)
     states = _substream_lanes(seed, first) & low
     picks = []
     for i in range(weight):
@@ -302,19 +302,17 @@ def run_ber_experiment(p: float, frames: int, seed: int,
         flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
         if flips == 0:
             continue
-        outcome = decode(flips)
+        corrected = decode(flips).corrected
         errors = flips >> PARITY_BITS
         pre_fec += errors.bit_count()
-        if outcome.status is DecodeStatus.UNCORRECTABLE:
-            # The received message bits are delivered unrepaired.
-            if errors:
-                post_fec += errors.bit_count()
+        # corrected is f ^ ê, the error left after decoding; an UNCORRECTABLE
+        # frame (None) delivers its received message bits unrepaired.
+        residual = errors if corrected is None else corrected >> PARITY_BITS
+        if residual:
+            post_fec += residual.bit_count()
+            if corrected is None:
                 uncorrectable += 1
-        else:
-            # outcome.corrected is f ^ ê, the error left after decoding.
-            residual = outcome.corrected >> PARITY_BITS
-            if residual:
-                post_fec += residual.bit_count()
+            else:
                 miscorrected += 1
     return BerReport(
         p=p,

@@ -5,9 +5,9 @@ degree <= 2, root finding with reciprocal-root position mapping, bit-flip
 correction.  All arithmetic is exact; every comparison is equality.
 
 Every stage is a table lookup or a closed form, and the stages pass plain
-tuples.  The syndromes are linear in the received bits, so they are the
-XOR of one precomputed entry per received byte.  The locator is
-(S1, S2, S3 + S1*S2), formed only when S1 != 0, so its two low
+ints and tuples.  The syndromes are linear in the received bits, so their
+packed word is the XOR of one precomputed entry per received byte.  The
+locator is (S1, S2, S3 + S1*S2), formed only when S1 != 0, so its two low
 coefficients are nonzero and its roots follow from logarithms and one
 64-entry table of solutions of y^2 + y = c (Berlekamp, Rumsey & Solomon,
 "On the solution of algebraic equations over finite fields", Inf. &
@@ -55,19 +55,29 @@ class DecodeOutcome(NamedTuple):
     corrected: int | None
 
 
-_UNCORRECTABLE = DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
-_FIELD = build_tables()
+_NO_ERROR, _CORRECTED = DecodeStatus.NO_ERROR, DecodeStatus.CORRECTED
+_NO_POSITIONS = frozenset()
+_UNCORRECTABLE = DecodeOutcome(DecodeStatus.UNCORRECTABLE, _NO_POSITIONS, None)
+_ANTILOG, _LOG = _FIELD = build_tables()
 
 # The syndromes of the unit word x^j, packed S1 | S2 << 6 | S3 << 12, and
 # the byte tables that add them up over a received word.
 _B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7 = byte_tables([
-    _FIELD.antilog[j] | _FIELD.antilog[2 * j % 63] << 6 | _FIELD.antilog[3 * j % 63] << 12
+    _ANTILOG[j] | _ANTILOG[2 * j % 63] << 6 | _ANTILOG[3 * j % 63] << 12
     for j in range(CODEWORD_BITS)
 ])
 
 # _QUADRATIC_ROOT[c] is a y with y^2 + y = c; the other solution is y + 1.
 # The 32 values c of trace 1 have no solution and no entry.
 _QUADRATIC_ROOT = {gf_mul_table(y, y, _FIELD) ^ y: y for y in range(64)}
+
+
+def _syndrome_word(word: int) -> int:
+    """The syndromes of a 63-bit word, packed S1 | S2 << 6 | S3 << 12."""
+    if word >> CODEWORD_BITS:
+        raise ValueError("received word exceeds 63 bits")
+    b0, b1, b2, b3, b4, b5, b6, b7 = word.to_bytes(8, "little")
+    return _B0[b0] ^ _B1[b1] ^ _B2[b2] ^ _B3[b3] ^ _B4[b4] ^ _B5[b5] ^ _B6[b6] ^ _B7[b7]
 
 
 def compute_syndromes(received: int, tables: GfTables | None = None) -> tuple[int, int, int]:
@@ -77,12 +87,7 @@ def compute_syndromes(received: int, tables: GfTables | None = None) -> tuple[in
     syndromes are linear in the received bits, so all three come from one
     lookup per byte into tables built at import for the fixed field.
     """
-    if received >> CODEWORD_BITS:
-        raise ValueError("received word exceeds 63 bits")
-    packed = (_B0[received & 0xFF] ^ _B1[received >> 8 & 0xFF]
-              ^ _B2[received >> 16 & 0xFF] ^ _B3[received >> 24 & 0xFF]
-              ^ _B4[received >> 32 & 0xFF] ^ _B5[received >> 40 & 0xFF]
-              ^ _B6[received >> 48 & 0xFF] ^ _B7[received >> 56])
+    packed = _syndrome_word(received)
     return packed & 63, packed >> 6 & 63, packed >> 12
 
 
@@ -95,7 +100,7 @@ def solve_locator(syndromes: tuple[int, int, int]) -> tuple[int, int, int]:
     the quadratic term cancels and the locator degree collapses to 1.
     """
     s1, s2, s3 = syndromes
-    return s1, s2, s3 ^ gf_mul_table(s1, s2, _FIELD)
+    return s1, s2, s3 ^ (_ANTILOG[(_LOG[s1] + _LOG[s2]) % GROUP_ORDER] if s1 and s2 else 0)
 
 
 def chien_search(locator: tuple[int, int, int]) -> frozenset[int]:
@@ -123,14 +128,13 @@ def chien_search(locator: tuple[int, int, int]) -> frozenset[int]:
     l0, l1, l2 = locator
     if not (l0 and l1):
         raise ValueError(f"chien_search needs lambda0 != 0 and lambda1 != 0, got {locator}")
-    log = _FIELD.log
     if l2 == 0:
-        return frozenset(((log[l1] - log[l0]) % GROUP_ORDER,))
-    y = _QUADRATIC_ROOT.get(_FIELD.antilog[(log[l0] + log[l2] - 2 * log[l1]) % GROUP_ORDER])
+        return frozenset(((_LOG[l1] - _LOG[l0]) % GROUP_ORDER,))
+    y = _QUADRATIC_ROOT.get(_ANTILOG[(_LOG[l0] + _LOG[l2] - 2 * _LOG[l1]) % GROUP_ORDER])
     if y is None:
-        return frozenset()
-    scale = log[l2] - log[l1]
-    return frozenset(((scale - log[y]) % GROUP_ORDER, (scale - log[y ^ 1]) % GROUP_ORDER))
+        return _NO_POSITIONS
+    scale = _LOG[l2] - _LOG[l1]
+    return frozenset(((scale - _LOG[y]) % GROUP_ORDER, (scale - _LOG[y ^ 1]) % GROUP_ORDER))
 
 
 def apply_correction(received: int, positions) -> int:
@@ -156,20 +160,19 @@ def decode(received: int, tables: GfTables | None = None) -> DecodeOutcome:
          syndromes, a failed re-check raising RuntimeError), anything
          else UNCORRECTABLE.
     """
-    syndromes = compute_syndromes(received)
-    if syndromes == (0, 0, 0):
-        return DecodeOutcome(DecodeStatus.NO_ERROR, frozenset(), received)
-    if syndromes[0] == 0:
+    syndrome = _syndrome_word(received)
+    if not syndrome:
+        return DecodeOutcome(_NO_ERROR, _NO_POSITIONS, received)
+    if not syndrome & 63:
         return _UNCORRECTABLE
-    locator = solve_locator(syndromes)
-    degree = 2 if locator[2] else 1
+    locator = solve_locator((syndrome & 63, syndrome >> 6 & 63, syndrome >> 12))
     positions = chien_search(locator)
-    if len(positions) != degree:
+    if len(positions) != (2 if locator[2] else 1):
         return _UNCORRECTABLE
     corrected = apply_correction(received, positions)
-    if compute_syndromes(corrected) != (0, 0, 0):
+    if _syndrome_word(corrected):
         raise RuntimeError(f"corrected word {corrected:#x} failed the zero-syndrome re-check")
-    return DecodeOutcome(DecodeStatus.CORRECTED, positions, corrected)
+    return DecodeOutcome(_CORRECTED, positions, corrected)
 
 
 def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeOutcome:
@@ -182,9 +185,7 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
     if received31 >> SHORT_CODEWORD_BITS:
         raise ValueError("shortened word exceeds 31 bits")
     outcome = decode(received31)
-    if outcome.status is DecodeStatus.UNCORRECTABLE:
-        return outcome
-    if any(p >= SHORT_CODEWORD_BITS for p in outcome.positions):
+    if outcome.corrected is None or any(p >= SHORT_CODEWORD_BITS for p in outcome.positions):
         return _UNCORRECTABLE
     # The corrected word is below 2^31, so the shift leaves the 19-bit payload.
     return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)

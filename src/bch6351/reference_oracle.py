@@ -69,7 +69,7 @@ def brute_force_decode(received: int, table: SyndromeTable,
         return DecodeOutcome(DecodeStatus.UNCORRECTABLE, frozenset(), None)
     if mask == 0:
         return DecodeOutcome(DecodeStatus.NO_ERROR, frozenset(), received)
-    positions = frozenset(i for i in range(CODEWORD_BITS) if mask >> i & 1)
+    positions = frozenset(((mask & -mask).bit_length() - 1, mask.bit_length() - 1))
     return DecodeOutcome(DecodeStatus.CORRECTED, positions, received ^ mask)
 
 

@@ -92,12 +92,23 @@ def test_s2_is_square_of_s1(tables):
 def test_syndromes_reject_oversized_word():
     with pytest.raises(ValueError):
         compute_syndromes(1 << 63)
+    with pytest.raises(ValueError):
+        compute_syndromes(-1)
 
 
 # --- locator --------------------------------------------------------------
 
 def test_locator_of_zero_syndromes():
     assert solve_locator(compute_syndromes(0)) == (0, 0, 0)
+
+
+def test_locator_equals_product_on_every_triple(tables):
+    # lambda2 = S3 + S1*S2 for every (S1, S2, S3), also those with S2 != S1^2
+    for s1 in range(64):
+        for s2 in range(64):
+            product = gf_mul_table(s1, s2, tables)
+            for s3 in range(64):
+                assert solve_locator((s1, s2, s3)) == (s1, s2, s3 ^ product), (s1, s2, s3)
 
 
 def test_locator_quadratic_term_cancels_for_single_errors(tables):
@@ -242,6 +253,40 @@ def test_decode_all_weight_le2_patterns():
             assert outcome.positions == frozenset(
                 i for i in range(63) if mask >> i & 1
             )
+
+
+def test_decode_rejects_a_word_outside_63_bits():
+    # decode checks the range itself, as compute_syndromes does
+    for word in (1 << 63, -1):
+        with pytest.raises(ValueError, match="received word exceeds 63 bits"):
+            decode(word)
+
+
+def staged_decode(word):
+    """decode spelled out through its public stages, as its docstring states them."""
+    syndromes = compute_syndromes(word)
+    if syndromes == (0, 0, 0):
+        return DecodeStatus.NO_ERROR, frozenset(), word
+    if syndromes[0] == 0:
+        return DecodeStatus.UNCORRECTABLE, frozenset(), None
+    locator = solve_locator(syndromes)
+    positions = chien_search(locator)
+    if len(positions) != (2 if locator[2] else 1):
+        return DecodeStatus.UNCORRECTABLE, frozenset(), None
+    corrected = apply_correction(word, positions)
+    assert compute_syndromes(corrected) == (0, 0, 0)
+    return DecodeStatus.CORRECTED, positions, corrected
+
+
+def test_decode_equals_its_stages():
+    # every coset, each moved by three random codewords, and random words
+    rng = SplitMix64(0xDEC)
+    codewords = [encode_lfsr(rng.next_bits(MESSAGE_BITS)) for _ in range(3)]
+    words = [word ^ c for word in range(1 << PARITY_BITS) for c in codewords]
+    words += [rng.next_bits(63) for _ in range(10_000)]
+    for word in words:
+        outcome = decode(word)
+        assert (outcome.status, outcome.positions, outcome.corrected) == staged_decode(word), word
 
 
 def test_decode_raises_when_recheck_fails(monkeypatch):
