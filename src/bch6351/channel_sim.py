@@ -35,7 +35,7 @@ from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .gf64 import GfTables
-from .decoder import decode
+from .decoder import coset_decoder, decode
 # encode_lfsr is not called here; bench/run.py traces it as channel_sim.encode_lfsr.
 from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # noqa: F401
 
@@ -288,9 +288,9 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     sent one by (f ^ ê) >> 12, the message bits of decode(f).corrected,
     or by f >> 12 when the frame is UNCORRECTABLE (both words are below
     2^63, so the shift leaves the 51 message bits).  Neither depends on
-    the message, so it is never drawn or encoded, and a clean frame
-    (f = 0) is skipped.  The counters equal those of the explicit
-    encode -> corrupt -> decode run.
+    the message, so it is never drawn or encoded, a clean frame (f = 0)
+    is skipped, and `decode` runs once per coset of f (`coset_decoder`).
+    The counters equal those of the explicit encode -> corrupt -> decode run.
     Identical (p, frames, seed) always produce an identical report, in
     any evaluation order.  The optional `tables` is not read: the
     decoder works in its one fixed field.
@@ -298,11 +298,12 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     if frames < 1:
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
+    decoded = coset_decoder(decode)
     for noise_seed in islice(substream_seeds(seed), 1, 2 * frames, 2):
         flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
         if flips == 0:
             continue
-        corrected = decode(flips).corrected
+        corrected = decoded(flips)
         errors = flips >> PARITY_BITS
         pre_fec += errors.bit_count()
         # corrected is f ^ ê, the error left after decoding; an UNCORRECTABLE

@@ -49,7 +49,7 @@ from .encoder import (
     encode_lfsr,
     encode_shortened,
 )
-from .decoder import DecodeStatus, compute_syndromes, decode, decode_shortened
+from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode, decode_shortened
 from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
 
 
@@ -62,18 +62,24 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
-    decoder, shift = (decode_shortened, 0) if args.short else (decode, PARITY_BITS)
+    corrected = coset_decoder(decode_shortened if args.short else decode)
+    # A report row after its frame index, by the number of bits corrected.
+    rows = [f",{status.value},{bits}\n" for status, bits in
+            ((DecodeStatus.NO_ERROR, 0), (DecodeStatus.CORRECTED, 1), (DecodeStatus.CORRECTED, 2))]
+    failed_row = f",{DecodeStatus.UNCORRECTABLE.value},0\n"
     uncorrectable = 0
 
     def messages(report) -> Iterator[int | None]:
         nonlocal uncorrectable
         for index, word in enumerate(received):
-            outcome = decoder(word)
-            message = None if outcome.corrected is None else outcome.corrected >> shift
-            if outcome.status is DecodeStatus.UNCORRECTABLE:  # message is None
+            fixed = corrected(word)
+            if fixed is None:
                 uncorrectable += 1
+                message, row = None, failed_row
+            else:
+                message, row = fixed >> PARITY_BITS, rows[(word ^ fixed).bit_count()]
             if report is not None:
-                report.write(f"{index},{outcome.status.value},{len(outcome.positions)}\n")
+                report.write(f"{index}{row}")
             yield message
         if report is not None:  # a report that cannot be written fails before OUT is replaced
             report.flush()

@@ -29,6 +29,7 @@ depends on the received word alone.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from enum import Enum
 from typing import NamedTuple
 
@@ -189,3 +190,29 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
         return _UNCORRECTABLE
     # The corrected word is below 2^31, so the shift leaves the 19-bit payload.
     return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)
+
+
+def coset_decoder(decoder) -> Callable[[int], int | None]:
+    """A fresh memo of `decoder` (`decode` or `decode_shortened`) by coset.
+
+    `corrected(word)` returns the corrected word at either width (the
+    payload is `corrected >> PARITY_BITS`), or None when UNCORRECTABLE.
+    A decode depends only on the coset, named by (S1, S3) as S2 = S1^2, so
+    `decoder` runs on a coset's first word and its error pattern (-1 when
+    UNCORRECTABLE) corrects the later ones, whose syndromes then vanish as
+    the first's did.  Each memo starts empty, so a run sees the decoder as
+    it is during that run.  Only a first sight gets the decoder's width check.
+    """
+    patterns: list[int | None] = [None] * (1 << PARITY_BITS)
+
+    def corrected(word: int) -> int | None:
+        syndrome = _syndrome_word(word)
+        key = syndrome & 63 | syndrome >> 6 & 4032  # S1 | S3 << 6
+        pattern = patterns[key]
+        if pattern is None:
+            outcome = decoder(word)
+            pattern = patterns[key] = (-1 if outcome.corrected is None
+                                       else sum(1 << p for p in outcome.positions))
+        return None if pattern < 0 else word ^ pattern
+
+    return corrected

@@ -190,6 +190,60 @@ def test_shortened_round_trip(tmp_path):
     assert decoded.read_bytes() == infile.read_bytes()
 
 
+@pytest.mark.parametrize("short", [False, True], ids=["width16", "width8"])
+def test_decode_equals_a_per_frame_decode_on_every_coset_twice(tmp_path, capsys, short):
+    # decode runs once per coset: the words 0..4095 visit each coset once,
+    # and the same words plus distinct random codewords visit it again
+    # through different words
+    width, payload_bits = (8, 19) if short else (16, MESSAGE_BITS)
+    encode = encoder.encode_shortened if short else encoder.encode
+    reference = decoder.decode_shortened if short else decoder.decode
+    payloads = random.Random(19).sample(range(1 << payload_bits), 4096)
+    words = [*range(4096), *(word ^ encode(m) for word, m in enumerate(payloads))]
+    messages, rows = [], ["frame_index,status,num_errors_corrected"]
+    for index, word in enumerate(words):
+        outcome = reference(word)
+        if outcome.corrected is None:
+            messages.append("X" * width)
+        else:
+            message = outcome.corrected if short else outcome.corrected >> encoder.PARITY_BITS
+            messages.append(format(message, f"0{width}x"))
+        rows.append(f"{index},{outcome.status.value},{len(outcome.positions)}")
+    uncorrectable = messages.count("X" * width)
+    assert 0 < uncorrectable < len(words)
+
+    received, out, report = tmp_path / "r.hex", tmp_path / "out.hex", tmp_path / "report.csv"
+    write_messages(received, words, short)
+    flags = ["--short"] if short else []
+    assert main(["decode", *flags, "--allow-errors", "--report", str(report),
+                 str(received), str(out)]) == 0
+    # lists, not whole texts: pytest diffs two long unequal strings for minutes
+    assert out.read_text().split("\n") == [*messages, ""]
+    assert report.read_text().split("\n") == [*rows, ""]
+    assert capsys.readouterr().err == f"{uncorrectable} uncorrectable frame(s)\n"
+    assert main(["decode", *flags, str(received), str(out)]) == 1
+    assert capsys.readouterr().err == f"{uncorrectable} uncorrectable frame(s)\n"
+
+
+def test_each_decode_run_starts_with_an_empty_coset_memo(tmp_path, monkeypatch):
+    # a run that reused an earlier run's decodes would hide a decoder fault
+    # from the benchmark's injected-fault run and from selftest; ber too
+    infile, encoded, corrupted = tmp_path / "m.hex", tmp_path / "c.hex", tmp_path / "r.hex"
+    write_messages(infile, random_messages(20, seed=6))
+    assert main(["encode", str(infile), str(encoded)]) == 0
+    assert main(["corrupt", "--weight", "2", "--seed", "9", str(encoded), str(corrupted)]) == 0
+    assert main(["decode", str(corrupted), str(tmp_path / "first.hex")]) == 0
+    run_ber_experiment(0.1, 50, 1)
+
+    def broken(locator):
+        raise ValueError("injected")
+
+    monkeypatch.setattr(decoder, "chien_search", broken)
+    assert main(["decode", str(corrupted), str(tmp_path / "second.hex")]) == 2
+    with pytest.raises(ValueError, match="injected"):
+        run_ber_experiment(0.1, 50, 1)
+
+
 def test_parse_error_bad_hex(tmp_path, capsys):
     # int(text, 16) would take the prefix, sign and underscore forms
     lines = [
