@@ -13,10 +13,12 @@ order.  There is one such stream, `substream_seeds(seed)`.  The BER
 harness reads its odd positions, 2i+1 for frame i's channel noise, and
 keeps position 2i for its message; the CLI's `corrupt`, which has no
 message to draw, takes frame i's flip mask from position i (through
-`random_error_patterns` for a fixed weight).  Both streams never end and
-compute 256 positions at a time out of the caller's sight, each in its
-own 128-bit lane of a Python int.  That changes no output: the one-frame
-functions `substream_seed` and `random_error_pattern` define them.
+`random_error_patterns` for a fixed weight, `bernoulli_masks` for the
+BSC).  These streams compute 256 frames at a time out of the caller's
+sight, frame i of a block in its own 128-bit lane of a Python int; a BSC
+block draws one bit position of all 256 masks per pass.  That changes no
+output: the one-frame functions `substream_seed`, `random_error_pattern`
+and `bernoulli_mask` define them.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -29,7 +31,7 @@ message, so the counters equal those of the explicit encode -> corrupt
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from itertools import chain, count, islice
 from typing import NamedTuple
@@ -138,6 +140,13 @@ def _lane_values(x: int) -> tuple[int, ...]:
     return struct.unpack(f"<{2 * _BLOCK_FRAMES}Q", x.to_bytes(16 * _BLOCK_FRAMES, "little"))[::2]
 
 
+def _threshold(p: float) -> int:
+    """floor(p * 2^53) << 11: a draw's top 53 bits fall below it with probability p, exactly."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("probability must be in [0, 1]")
+    return int(p * 9007199254740992.0) << 11
+
+
 def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     """Mask with each of `nbits` bits set independently with probability p.
 
@@ -145,11 +154,9 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     are compared against floor(p * 2^53), which represents p exactly.
     All `nbits` draws run at once, one per 128-bit lane (see `_lanes`).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("probability must be in [0, 1]")
+    threshold = _threshold(p)
     if nbits <= 0:
         return 0
-    threshold = int(p * 9007199254740992.0) << 11  # p * 2^53, exact
     ones, low, ramp, bias = _lanes(nbits, threshold)
     # _mix_lanes leaves a lane's bits 64..96 at 0 and the threshold is at
     # most 2^64, so the bias makes bits 0..64 draw + 2^64 - threshold < 2^65:
@@ -157,6 +164,43 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     x = _mix_lanes((seed & _MASK64) * ones + ramp, low) + bias
     # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
     return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
+
+
+def bernoulli_masks(p: float, seeds: Iterable[int], nbits: int) -> Iterator[int]:
+    """bernoulli_mask(p, s, nbits) for each s of `seeds` in turn, 1 <= nbits <= 63."""
+    # Checked in the call, not on the first next() as in a generator function.
+    threshold = _threshold(p)
+    if not 0 < nbits <= CODEWORD_BITS:
+        raise ValueError(f"need 1 <= nbits <= 63, got {nbits}")
+    return _bernoulli_blocks(p, threshold, iter(seeds), nbits)
+
+
+def _bernoulli_blocks(p: float, threshold: int, seeds: Iterator[int], nbits: int) -> Iterator[int]:
+    """The masks of `bernoulli_masks`, _BLOCK_FRAMES seeds at a time, seed i's in lane i.
+
+    One pass draws bit j of every mask at once: lane i holds SplitMix64(s_i)'s
+    state for draw j, and the bias sets its bit 64 where the draw is at or
+    above the threshold (see `bernoulli_mask`).  The passes run from bit
+    nbits - 1 down to 0 and shift the collected bits up one place each, so
+    bit 64 + j of lane i ends up holding the complement of mask i's bit j;
+    nbits <= 63 keeps it inside the lane.  A block short of _BLOCK_FRAMES
+    seeds, where lanes cost more than they save, takes `bernoulli_mask`.
+    """
+    ones, low, _, bias = _lanes(_BLOCK_FRAMES, threshold)
+    step, flag, full = _GOLDEN * ones, ones << 64, (1 << nbits) - 1
+    while block := list(islice(seeds, _BLOCK_FRAMES)):
+        if len(block) < _BLOCK_FRAMES:
+            yield from (bernoulli_mask(p, seed, nbits) for seed in block)
+            continue
+        # Below 2^70 in every lane while the passes run: no borrow crosses lanes.
+        states = int.from_bytes(struct.pack("<" + "Q8x" * _BLOCK_FRAMES,
+                                            *[seed & _MASK64 for seed in block]),
+                                "little") + nbits * step
+        kept = 0
+        for _ in range(nbits):
+            kept = kept << 1 | (_mix_lanes(states, low) + bias) & flag
+            states -= step
+        yield from map(full.__xor__, _lane_values(kept >> 64))
 
 
 def _substream_lanes(seed: int, first: int) -> int:
@@ -299,8 +343,8 @@ def run_ber_experiment(p: float, frames: int, seed: int,
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
     decoded = coset_decoder(decode)
-    for noise_seed in islice(substream_seeds(seed), 1, 2 * frames, 2):
-        flips = bernoulli_mask(p, noise_seed, CODEWORD_BITS)
+    for flips in bernoulli_masks(p, islice(substream_seeds(seed), 1, 2 * frames, 2),
+                                 CODEWORD_BITS):
         if flips == 0:
             continue
         corrected = decoded(flips)

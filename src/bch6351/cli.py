@@ -105,8 +105,7 @@ def _cmd_corrupt(args) -> int:
     # frame as it is read, so the frames before a rejected line are still
     # written.
     if args.bsc is not None:
-        masks = (channel_sim.bernoulli_mask(args.bsc, seed, n)
-                 for seed in channel_sim.substream_seeds(args.seed))
+        masks = channel_sim.bernoulli_masks(args.bsc, channel_sim.substream_seeds(args.seed), n)
     else:
         masks = channel_sim.random_error_patterns(args.weight, n, args.seed)
     write_frame_file(args.outfile, map(int.__xor__, frames, masks), args.short)

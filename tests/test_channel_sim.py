@@ -2,14 +2,16 @@
 
 import math
 import random
-from itertools import islice
+from itertools import count, islice
 
 import pytest
 
+from bch6351 import channel_sim
 from bch6351.channel_sim import (
     BerReport,
     SplitMix64,
     bernoulli_mask,
+    bernoulli_masks,
     mix64,
     random_error_pattern,
     random_error_patterns,
@@ -246,6 +248,44 @@ def test_bernoulli_mask_equals_definitional_loop():
             for seed in seeds:
                 assert bernoulli_mask(p, seed, nbits) == reference_mask(p, seed, nbits), \
                     (p, seed, nbits)
+
+
+def test_bernoulli_masks_equal_bernoulli_mask():
+    # seed counts on both sides of one and two 256-seed blocks, each block's
+    # lanes against the definitional loop at the threshold's extremes
+    rng = random.Random(20261019)
+    pool = [0, 2**64 - 1, 2**64 + 5, -1] + [rng.getrandbits(64) for _ in range(509)]
+    probabilities = (0.0, 5e-324, 2.0 ** -53, 1e-3, 0.1, 0.5, 1 - 2.0 ** -53, 1.0)
+    for p in probabilities:
+        for nbits in (1, 31, 63):
+            want = [reference_mask(p, seed, nbits) for seed in pool]
+            for frames in (0, 1, 255, 256, 257, 512, 513):
+                assert list(bernoulli_masks(p, pool[:frames], nbits)) == want[:frames], \
+                    (p, nbits, frames)
+    # a stream that never ends is read one block at a time
+    assert list(islice(bernoulli_masks(0.1, count(), 63), 300)) == [
+        reference_mask(0.1, seed, 63) for seed in range(300)]
+    # checked in the call, before any mask is taken
+    for p, nbits in ((1.5, 63), (math.nan, 63), (0.5, 0), (0.5, 64)):
+        with pytest.raises(ValueError):
+            bernoulli_masks(p, [0], nbits)
+
+
+def test_full_blocks_are_drawn_in_lanes(monkeypatch):
+    # the one-frame definitions see only the seeds of a final short block of
+    # masks, and no weight-W frame unless a draw meets its rejection limit
+    calls = []
+    monkeypatch.setattr(channel_sim, "bernoulli_mask",
+                        lambda p, seed, nbits: calls.append(seed) or 0)
+    monkeypatch.setattr(channel_sim, "random_error_pattern",
+                        lambda weight, n, seed: calls.append(seed) or 0)
+    for frames, short in ((255, 255), (256, 0), (513, 1), (600, 88)):
+        calls.clear()
+        assert len(list(bernoulli_masks(0.1, range(frames), 63))) == frames
+        assert calls == list(range(frames - short, frames)), frames
+    calls.clear()
+    assert len(list(islice(random_error_patterns(2, 63, 1), 600))) == 600
+    assert calls == []
 
 
 def test_bsc_mean_flips_at_half():

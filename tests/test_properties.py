@@ -1,4 +1,4 @@
-"""Hypothesis properties of frame files and of the decoder.
+"""Hypothesis properties of frame files, the decoder and the channel.
 
 They live apart from the example-based tests so that only this module
 needs hypothesis (the `test` extra) to be collected.
@@ -12,6 +12,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from bch6351 import frame_file
+from bch6351.channel_sim import bernoulli_mask, bernoulli_masks
 from bch6351.cli import main
 from bch6351.decoder import decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
@@ -152,3 +153,12 @@ def test_decode_linearity_property(message, error):
     assert (received.status, received.positions) == (alone.status, alone.positions)
     if alone.corrected is not None:
         assert received.corrected == codeword ^ alone.corrected
+
+
+@settings(deadline=None)
+@given(p=st.floats(0, 1), frames=st.integers(0, 600), nbits=st.integers(1, 63),
+       rng=st.randoms(use_true_random=False))
+def test_bernoulli_masks_property(p, frames, nbits, rng):
+    # up to 600 seeds: as many as two 256-seed blocks of lanes and a short one
+    seeds = [rng.getrandbits(66) - 2**65 for _ in range(frames)]
+    assert list(bernoulli_masks(p, seeds, nbits)) == [bernoulli_mask(p, s, nbits) for s in seeds]
