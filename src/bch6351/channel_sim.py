@@ -18,7 +18,8 @@ BSC).  These streams compute 256 frames at a time out of the caller's
 sight, frame i of a block in its own 128-bit lane of a Python int; a BSC
 block draws one bit position of all 256 masks per pass.  That changes no
 output: the one-frame functions `substream_seed`, `random_error_pattern`
-and `bernoulli_mask` define them.
+and `bernoulli_mask` define them.  `bernoulli_mask`, one draw per bit,
+also draws the short block of fewer than 256 masks that ends a `ber` run.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Iterable, Iterator
-from functools import lru_cache
 from itertools import chain, count, islice
 from typing import NamedTuple
 
@@ -95,43 +95,31 @@ def substream_seed(seed: int, index: int) -> int:
     return mix64((seed + (index + 1) * _GOLDEN) & _MASK64)
 
 
-@lru_cache(maxsize=8)
-def _lanes(nbits: int, threshold: int) -> tuple[int, int, int, int]:
-    """Constants that run `nbits` SplitMix64 draws side by side in one int.
-
-    Draw j lives in lane j, bits 128j .. 128j+127 of the int: 64 value
-    bits under 64 guard bits (SIMD within a register; Lamport, CACM 18(8),
-    1975).  The guards keep the lanes apart: an addition carries into bit
-    64, a multiply by a 64-bit constant fills all 128 bits, and a right
-    shift moves the low bits of lane j+1 into the top of lane j.  Masking
-    with LOW after each operation drops all of that, which reduces every lane
-    mod 2^64 exactly as the scalar generator does.
-
-    Returns (ONES, LOW, RAMP, BIAS): 1, 2^64 - 1 and 2^64 - `threshold` in
-    every lane, and RAMP's (j+1) * golden mod 2^64 in lane j, so
-    (seed * ONES + RAMP) & LOW is SplitMix64(seed)'s j-th state.
-    """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * nbits, "little")
-    ramp = int.from_bytes(b"".join((((j + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
-                                   for j in range(nbits)), "little")
-    return ones, _MASK64 * ones, ramp, ((1 << 64) - threshold) * ones
+# The lanes of a block: frame i's 64-bit value lives in lane i, bits
+# 128i .. 128i+127 of one int, under 64 guard bits (SIMD within a register;
+# Lamport, CACM 18(8), 1975).  The guards keep the lanes apart: an addition
+# carries into bit 64, a multiply by a 64-bit constant fills all 128 bits,
+# and a right shift moves the low bits of lane i+1 into the top of lane i.
+# Masking with _LOW after each operation drops all of that, which reduces
+# every lane mod 2^64 exactly as the scalar generator does.  _ONES is 1 and
+# _LOW 2^64 - 1 in every lane; _RAMP holds (i+1) * golden mod 2^64 in lane
+# i, so (seed * _ONES + _RAMP) & _LOW is SplitMix64(seed)'s i-th state.
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK_FRAMES, "little")
+_LOW = _MASK64 * _ONES
+_RAMP = int.from_bytes(b"".join((((i + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
+                                for i in range(_BLOCK_FRAMES)), "little")
 
 
-# Lane j's byte holding its bit 64 reads 0 where draw j fell below the
-# threshold: that is a set bit of the mask, written '1' for int(·, 2).
-_SET_IF_ZERO = bytes.maketrans(b"\x00\x01", b"10")
-
-
-def _mix_lanes(x: int, low: int) -> int:
-    """mix64 of every 128-bit lane of x, laid out as in `_lanes`.
+def _mix_lanes(x: int) -> int:
+    """mix64 of every 128-bit lane of x (the lanes of _ONES).
 
     Each lane is first reduced mod 2^64.  In the result a lane's low 64
     bits are its mix64 and bits 64..96 are 0; the bits x >> 31 brings in
     from the next lane sit above bit 96.
     """
-    x &= low
-    x = (((x ^ (x >> 30)) & low) * 0xBF58476D1CE4E5B9) & low
-    x = (((x ^ (x >> 27)) & low) * 0x94D049BB133111EB) & low
+    x &= _LOW
+    x = (((x ^ (x >> 30)) & _LOW) * 0xBF58476D1CE4E5B9) & _LOW
+    x = (((x ^ (x >> 27)) & _LOW) * 0x94D049BB133111EB) & _LOW
     return x ^ (x >> 31)
 
 
@@ -150,20 +138,12 @@ def _threshold(p: float) -> int:
 def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     """Mask with each of `nbits` bits set independently with probability p.
 
-    Bit j uses the j-th draw of SplitMix64(seed); the draw's top 53 bits
-    are compared against floor(p * 2^53), which represents p exactly.
-    All `nbits` draws run at once, one per 128-bit lane (see `_lanes`).
+    The definition of every mask stream: bit j is set when the j-th draw
+    of SplitMix64(seed) falls below `_threshold(p)`, one draw per bit.
     """
     threshold = _threshold(p)
-    if nbits <= 0:
-        return 0
-    ones, low, ramp, bias = _lanes(nbits, threshold)
-    # _mix_lanes leaves a lane's bits 64..96 at 0 and the threshold is at
-    # most 2^64, so the bias makes bits 0..64 draw + 2^64 - threshold < 2^65:
-    # no carry passes bit 64, which is clear exactly where draw < threshold.
-    x = _mix_lanes((seed & _MASK64) * ones + ramp, low) + bias
-    # Big-endian, lane nbits-1 comes first and its bit 64 is in byte 7.
-    return int(x.to_bytes(16 * nbits, "big")[7::16].translate(_SET_IF_ZERO), 2)
+    draw = SplitMix64(seed).next_u64
+    return sum(1 << j for j in range(nbits) if draw() < threshold)
 
 
 def bernoulli_masks(p: float, seeds: Iterable[int], nbits: int) -> Iterator[int]:
@@ -179,15 +159,17 @@ def _bernoulli_blocks(p: float, threshold: int, seeds: Iterator[int], nbits: int
     """The masks of `bernoulli_masks`, _BLOCK_FRAMES seeds at a time, seed i's in lane i.
 
     One pass draws bit j of every mask at once: lane i holds SplitMix64(s_i)'s
-    state for draw j, and the bias sets its bit 64 where the draw is at or
-    above the threshold (see `bernoulli_mask`).  The passes run from bit
-    nbits - 1 down to 0 and shift the collected bits up one place each, so
-    bit 64 + j of lane i ends up holding the complement of mask i's bit j;
-    nbits <= 63 keeps it inside the lane.  A block short of _BLOCK_FRAMES
-    seeds, where lanes cost more than they save, takes `bernoulli_mask`.
+    state for draw j.  _mix_lanes leaves a lane's bits 64..96 at 0 and the
+    threshold is at most 2^64, so the bias makes bits 0..64 of a lane
+    draw + 2^64 - threshold < 2^65: no carry passes bit 64, which is set
+    exactly where the draw is at or above the threshold.  The passes run
+    from bit nbits - 1 down to 0 and shift the collected bits up one place
+    each, so bit 64 + j of lane i ends up holding the complement of mask
+    i's bit j; nbits <= 63 keeps it inside the lane.  A short final block,
+    where lanes cost more than they save, takes `bernoulli_mask`.
     """
-    ones, low, _, bias = _lanes(_BLOCK_FRAMES, threshold)
-    step, flag, full = _GOLDEN * ones, ones << 64, (1 << nbits) - 1
+    bias = ((1 << 64) - threshold) * _ONES
+    step, flag, full = _GOLDEN * _ONES, _ONES << 64, (1 << nbits) - 1
     while block := list(islice(seeds, _BLOCK_FRAMES)):
         if len(block) < _BLOCK_FRAMES:
             yield from (bernoulli_mask(p, seed, nbits) for seed in block)
@@ -198,15 +180,14 @@ def _bernoulli_blocks(p: float, threshold: int, seeds: Iterator[int], nbits: int
                                 "little") + nbits * step
         kept = 0
         for _ in range(nbits):
-            kept = kept << 1 | (_mix_lanes(states, low) + bias) & flag
+            kept = kept << 1 | (_mix_lanes(states) + bias) & flag
             states -= step
         yield from map(full.__xor__, _lane_values(kept >> 64))
 
 
 def _substream_lanes(seed: int, first: int) -> int:
     """substream_seed(seed, first + j) in lane j, for j < _BLOCK_FRAMES."""
-    ones, low, ramp, _ = _lanes(_BLOCK_FRAMES, 0)
-    return _mix_lanes(((seed + first * _GOLDEN) & _MASK64) * ones + ramp, low)
+    return _mix_lanes(((seed + first * _GOLDEN) & _MASK64) * _ONES + _RAMP)
 
 
 def substream_seeds(seed: int) -> Iterator[int]:
@@ -300,12 +281,11 @@ def _error_pattern_block(weight: int, n: int, seed: int, first: int) -> list[int
     down the scalar path, which draws that frame's next value from its own
     stream.
     """
-    ones, low, _, _ = _lanes(_BLOCK_FRAMES, 0)
-    states = _substream_lanes(seed, first) & low
+    states = _substream_lanes(seed, first) & _LOW
     picks = []
     for i in range(weight):
-        states += _GOLDEN * ones  # lane j holds frame first + j's SplitMix64 state, below 2^70
-        draws = _lane_values(_mix_lanes(states, low))
+        states += _GOLDEN * _ONES  # lane j holds frame first + j's SplitMix64 state, below 2^70
+        draws = _lane_values(_mix_lanes(states))
         if max(draws) >= (1 << 64) - (1 << 64) % (n - i):
             return [random_error_pattern(weight, n, substream_seed(seed, first + j))
                     for j in range(_BLOCK_FRAMES)]
@@ -342,7 +322,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     if frames < 1:
         raise ValueError("need at least one frame")
     pre_fec = post_fec = uncorrectable = miscorrected = 0
-    decoded = coset_decoder(decode)
+    decoded = coset_decoder(decode, CODEWORD_BITS)
     for flips in bernoulli_masks(p, islice(substream_seeds(seed), 1, 2 * frames, 2),
                                  CODEWORD_BITS):
         if flips == 0:

@@ -62,7 +62,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
-    corrected = coset_decoder(decode_shortened if args.short else decode)
+    corrected = (coset_decoder(decode_shortened, SHORT_CODEWORD_BITS) if args.short
+                 else coset_decoder(decode, CODEWORD_BITS))
     # A report row after its frame index, by the number of bits corrected.
     rows = [f",{status.value},{bits}\n" for status, bits in
             ((DecodeStatus.NO_ERROR, 0), (DecodeStatus.CORRECTED, 1), (DecodeStatus.CORRECTED, 2))]

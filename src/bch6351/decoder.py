@@ -192,7 +192,7 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
     return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)
 
 
-def coset_decoder(decoder) -> Callable[[int], int | None]:
+def coset_decoder(decoder, bits: int) -> Callable[[int], int | None]:
     """A fresh memo of `decoder` (`decode` or `decode_shortened`) by coset.
 
     `corrected(word)` returns the corrected word at either width (the
@@ -201,11 +201,14 @@ def coset_decoder(decoder) -> Callable[[int], int | None]:
     `decoder` runs on a coset's first word and its error pattern (-1 when
     UNCORRECTABLE) corrects the later ones, whose syndromes then vanish as
     the first's did.  Each memo starts empty, so a run sees the decoder as
-    it is during that run.  Only a first sight gets the decoder's width check.
+    it is during that run.  `bits` is the decoder's input width, 63 or 31:
+    every wider word goes to `decoder`, which raises its own ValueError.
     """
     patterns: list[int | None] = [None] * (1 << PARITY_BITS)
 
     def corrected(word: int) -> int | None:
+        if word >> bits:
+            decoder(word)
         syndrome = _syndrome_word(word)
         key = syndrome & 63 | syndrome >> 6 & 4032  # S1 | S3 << 6
         pattern = patterns[key]

@@ -237,8 +237,8 @@ def test_bsc_config_validation():
 
 
 def test_bernoulli_mask_equals_definitional_loop():
-    # the lane-parallel mask against one SplitMix64 draw per bit, across
-    # the threshold's extremes, lane counts below, at and above 63, and
+    # the one-frame mask against the test's own one-draw-per-bit loop,
+    # across the threshold's extremes, widths below, at and above 63, and
     # seeds that exercise reduction mod 2^64
     rng = random.Random(20261018)
     seeds = [0, 2**64 - 1, 2**64 + 5, -1] + [rng.getrandbits(64) for _ in range(500)]
@@ -248,6 +248,18 @@ def test_bernoulli_mask_equals_definitional_loop():
             for seed in seeds:
                 assert bernoulli_mask(p, seed, nbits) == reference_mask(p, seed, nbits), \
                     (p, seed, nbits)
+
+
+def test_a_draw_at_the_threshold_sets_no_bit():
+    # p = 1/2 puts the threshold at 2^63; a first draw just below it sets
+    # bit 0, one equal to it does not, in one frame and in a full block
+    golden = 0x9E3779B97F4A7C15
+    for draw, bit in ((2**63 - 1, 1), (2**63, 0)):
+        seed = (unmix64(draw) - golden) % 2**64
+        assert SplitMix64(seed).next_u64() == draw
+        assert bernoulli_mask(0.5, seed, 1) == reference_mask(0.5, seed, 1) == bit
+        last = list(bernoulli_masks(0.5, [*range(255), seed], 63))[-1]
+        assert last == reference_mask(0.5, seed, 63) and last & 1 == bit
 
 
 def test_bernoulli_masks_equal_bernoulli_mask():
@@ -289,14 +301,15 @@ def test_full_blocks_are_drawn_in_lanes(monkeypatch):
 
 
 def test_bsc_mean_flips_at_half():
-    # p = 0.5 over 100,000 frames: mean flips within 5 sigma of 31.5
+    # p = 0.5 over 100,000 frames of the block path the commands run: mean
+    # flips within 5 sigma of 31.5, and the total recorded at commit ca86d0a
     frames = 100_000
-    total = 0
-    for i in range(frames):
-        total += bernoulli_mask(0.5, substream_seed(0xB5C, i), 63).bit_count()
+    total = sum(mask.bit_count()
+                for mask in islice(bernoulli_masks(0.5, substream_seeds(0xB5C), 63), frames))
     mean = total / frames
     sigma_of_mean = math.sqrt(63 * 0.25) / math.sqrt(frames)
     assert abs(mean - 31.5) < 5 * sigma_of_mean, mean
+    assert total == 3151565
 
 
 # --- BER harness ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """CLI behavior: framing, round trips, exit codes, reports."""
 
 import ast
+import hashlib
 import os
 import pathlib
 import random
@@ -712,6 +713,58 @@ def test_ber_subcommand_stdout(capsys, tmp_path, p, frames):
     assert main(["ber", "--p", str(p), "--frames", str(frames), "--seed", "9",
                  "--csv", str(csv)]) == 0
     assert csv.read_text().splitlines() == out
+
+
+# Outputs recorded at commit ca86d0a, so that a change to the stream
+# contract fails here: the other channel tests compare two implementations
+# of the same commit.  The frame counts take a one-frame run, a final short
+# block of masks, one full block, and both.
+RECORDED_BER_ROWS = """\
+0.001,1,1,0,0,0,0,0
+0.001,1,4242,0,0,0,0,0
+0.001,255,1,0.001076509035,0,0,0,0
+0.001,255,4242,0.00061514802,0,0,0,0
+0.001,256,1,0.001072303922,0,0,0,0
+0.001,256,4242,0.000612745098,0,0,0,0
+0.001,257,1,0.001068131533,0,0,0,0
+0.001,257,4242,0.0006103608759,0,0,0,0
+0.001,10000,1,0.0009784313725,0,0,0,0
+0.001,10000,4242,0.0009745098039,0,0,0,0
+0.1,1,1,0.03921568627,0.05882352941,1,0,1
+0.1,1,4242,0.137254902,0.137254902,1,1,0
+0.1,255,1,0.1010380623,0.1119569396,0.9411764706,128,112
+0.1,255,4242,0.09888504421,0.1117262591,0.9647058824,104,142
+0.1,256,1,0.1008731618,0.1118259804,0.94140625,128,113
+0.1,256,4242,0.09895833333,0.1119025735,0.96484375,104,143
+0.1,257,1,0.1009384298,0.1118486305,0.9416342412,128,114
+0.1,257,4242,0.09887846189,0.1118486305,0.9649805447,104,144
+0.1,10000,1,0.0996,0.1103509804,0.9585,4890,4695
+0.1,10000,4242,0.1004156863,0.1114156863,0.9597,4832,4765
+"""
+
+
+def test_ber_rows_equal_the_recorded_ones(capsys):
+    rows = []
+    for p in ("1e-3", "0.1"):
+        for frames in (1, 255, 256, 257, 10_000):
+            for seed in (1, 4242):
+                assert main(["ber", "--p", p, "--frames", str(frames), "--seed", str(seed)]) == 0
+                rows.append(capsys.readouterr().out.splitlines()[1])
+    assert rows == RECORDED_BER_ROWS.splitlines()
+
+
+@pytest.mark.parametrize("flags, digits, sha256", [
+    ([], 16, "0d0ab778c522c55d68bb3b3ff796785492150721695dd6677906e9e9b64fe3e3"),
+    (["--short"], 8, "23d4b58bc63e0c6bb26588dd982e925e06db709446c8daea27c67e9231a51345"),
+], ids=["full", "short"])
+def test_corrupt_bsc_output_equals_the_recorded_one(tmp_path, flags, digits, sha256):
+    # messages 0..299, encoded: two full blocks of masks, as the stream never ends
+    messages, encoded, received = tmp_path / "m.hex", tmp_path / "c.hex", tmp_path / "r.hex"
+    messages.write_text("".join(format(i, f"0{digits}x") + "\n" for i in range(300)))
+    assert main(["encode", *flags, str(messages), str(encoded)]) == 0
+    assert main(["corrupt", *flags, "--bsc", "0.05", "--seed", "7",
+                 str(encoded), str(received)]) == 0
+    assert hashlib.sha256(received.read_bytes()).hexdigest() == sha256
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -13,11 +13,13 @@ from bch6351.decoder import (
     apply_correction,
     chien_search,
     compute_syndromes,
+    coset_decoder,
     decode,
     decode_shortened,
     solve_locator,
 )
-from bch6351.encoder import MESSAGE_BITS, PARITY_BITS, encode_lfsr, encode_shortened
+from bch6351.encoder import (GENERATOR_POLY, MESSAGE_BITS, PARITY_BITS, encode_lfsr,
+                             encode_shortened)
 from bch6351.gf64 import gf_mul_table
 from bch6351.reference_oracle import TABLE_SIZE, brute_force_decode, syndrome_key
 
@@ -499,3 +501,34 @@ def test_decode_shortened_equals_restricted_oracle_on_every_coset(syndrome_table
 def test_decode_shortened_rejects_oversized():
     with pytest.raises(ValueError):
         decode_shortened(1 << 31)
+
+
+# --- the per-run coset memo -----------------------------------------------
+
+@pytest.mark.parametrize("wrapped, bits, message", [
+    (decode, 63, "received word exceeds 63 bits"),
+    (decode_shortened, 31, "shortened word exceeds 31 bits"),
+])
+def test_coset_memo_checks_the_width_on_every_call(wrapped, bits, message):
+    # Words 1 plus a multiple of the generator, in word 1's coset: one a bit
+    # too wide for the decoder and, at 31 bits, a 53-bit one.
+    wide = [1 ^ GENERATOR_POLY << (bits - PARITY_BITS)]
+    if bits == 31:
+        wide.append(1 ^ GENERATOR_POLY << 40)
+    calls = []
+
+    def counted(word):
+        calls.append(word)
+        return wrapped(word)
+
+    seen = coset_decoder(counted, bits)
+    assert seen(1) == 0
+    for word in wide:
+        # a fresh memo, and one that has already decoded the coset
+        for memo in (coset_decoder(counted, bits), seen):
+            with pytest.raises(ValueError, match=message):
+                memo(word)
+    # every word of the coset inside the width is corrected from the memo
+    inside = [1 ^ GENERATOR_POLY << k for k in range(bits - PARITY_BITS)]
+    assert [seen(word) for word in inside] == [word ^ 1 for word in inside]
+    assert calls == [1] + [word for word in wide for _ in range(2)]
