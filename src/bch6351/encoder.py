@@ -38,9 +38,14 @@ SHORT_CODEWORD_BITS = 31
 # g(x) = x^12 + x^10 + x^8 + x^5 + x^4 + x^3 + 1
 GENERATOR_POLY = 0b1010100111001
 
+# The 12-stage register as a bit mask, and the index of its top stage,
+# whose bit leaves the register on each shift.
+_REGISTER_MASK = (1 << PARITY_BITS) - 1
+_TOP_STAGE = PARITY_BITS - 1
+
 # Feedback taps: the generator coefficients below x^12.  XORed into the
 # register whenever the feedback bit is 1; equivalent to reducing by g.
-_FEEDBACK = GENERATOR_POLY & ((1 << PARITY_BITS) - 1)
+_FEEDBACK = GENERATOR_POLY & _REGISTER_MASK
 
 # The parity is linear in the message bits: message bit i contributes
 # x^(12+i) mod g(x).  One table per message byte adds up those remainders.
@@ -90,8 +95,8 @@ def encode_lfsr(message: int) -> int:
         raise ValueError("message exceeds 51 bits")
     reg = 0
     for i in range(MESSAGE_BITS - 1, -1, -1):
-        feedback = ((reg >> (PARITY_BITS - 1)) ^ (message >> i)) & 1
-        reg = (reg << 1) & ((1 << PARITY_BITS) - 1)
+        feedback = ((reg >> _TOP_STAGE) ^ (message >> i)) & 1
+        reg = (reg << 1) & _REGISTER_MASK
         if feedback:
             reg ^= _FEEDBACK
     return (message << PARITY_BITS) | reg

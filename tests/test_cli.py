@@ -5,6 +5,7 @@ import hashlib
 import os
 import pathlib
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import tracemalloc
 import pytest
 
 import bch6351
-from bch6351 import cli, decoder, encoder
+from bch6351 import cli, decoder, encoder, reference_oracle
 from bch6351.channel_sim import (
     SplitMix64,
     bernoulli_mask,
@@ -833,6 +834,33 @@ def test_selftest_passes(capsys):
     assert "PASS  decoder/oracle coset certificate (4096 cosets): 0 disagreements, " \
            "2017 correctable (" in out
     assert all(line.endswith("s)") for line in checks)
+    # the verdict shows milliseconds, like the check lines
+    assert re.fullmatch(r"self-test passed \(\d+\.\d{3}s\)", out.splitlines()[-1])
+
+
+def test_selftest_references_see_every_input(monkeypatch, capsys):
+    # each check calls its reference once per input, through the module
+    # global that a fault test or a trace replaces
+    calls = {}
+
+    def counted(module, name):
+        function = getattr(module, name)
+
+        def counter(*args):
+            calls[name] += 1
+            return function(*args)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counter)
+
+    for name in ("gf_mul_mse", "gf_mul_table", "encode_lfsr", "compute_syndromes", "decode"):
+        counted(cli, name)
+    counted(reference_oracle, "brute_force_decode")
+    assert main(["selftest"]) == 0
+    assert calls == {"gf_mul_mse": 4096, "gf_mul_table": 4096, "encode_lfsr": 1537,
+                     "compute_syndromes": 1912 + 1537, "decode": 4096,
+                     "brute_force_decode": 4096}
+    assert "self-test passed (" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("table, entry, bit, verdicts, raised", [
@@ -881,12 +909,24 @@ def wrong_coset_3_word(monkeypatch):
     monkeypatch.setattr(cli, "decode", decode)
 
 
+def wrong_top_byte_s3(monkeypatch):
+    # 1 << 62 is the highest single-byte word; the set-position walk must reach bit 62
+    correct = cli.compute_syndromes
+
+    def compute_syndromes(word):
+        s1, s2, s3 = correct(word)
+        return (s1, s2, s3 ^ 1) if word == 1 << 62 else (s1, s2, s3)
+
+    monkeypatch.setattr(cli, "compute_syndromes", compute_syndromes)
+
+
 @pytest.mark.parametrize("fault, check, message", [
     (wrong_product, 0, "multiplier equivalence (4096 pairs): 1 mismatches"),
+    (wrong_top_byte_s3, 1, "syndrome certificate (1912 single-byte words): 1 mismatches"),
     (wrong_parity_entry, 2, "encoder certificate (1537 single-byte messages): 1 mismatches"),
     (wrong_coset_3_word, 4,
      "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"),
-], ids=["wrong-product", "parity-table-entry", "coset-3-word"])
+], ids=["wrong-product", "top-byte-s3", "parity-table-entry", "coset-3-word"])
 def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, check,
                                                        message):
     fault(monkeypatch)
@@ -895,6 +935,13 @@ def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, faul
     assert lines[check].startswith(f"FAIL  {message} (")
     assert [line[:4] for i, line in enumerate(lines[:5]) if i != check] == ["PASS"] * 4
     assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
+
+
+def test_selftest_failed_verdict_shows_milliseconds(monkeypatch, capsys):
+    wrong_product(monkeypatch)
+    assert main(["selftest"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(r"SELF-TEST FAILED \(\d+\.\d{3}s\)", last)
 
 
 def test_no_assert_statements_in_package():
