@@ -3,19 +3,27 @@
     python tools/ab.py --base HEAD --workload selftest --pairs 10 --seconds 25
 
 The base commit is exported with `git archive BASE | tar -x` into a
-temporary directory, which is removed at the end.  Each pair runs
-`bench/run.py --trace 0` once in the export and once in the working tree,
-with the first side alternating from pair to pair.  For every end-to-end
+temporary directory, and the working tree's files (tracked or not, less
+what .gitignore names) are copied next to it; the directory is removed at
+the end.  Each pair runs `bench/run.py --trace 0` once in each copy, with
+the first side alternating from pair to pair.  For every end-to-end
 metric in BENCHMARK.json it prints each side's median and quartiles, the
 change's wins, and the verdict of the gain rule: the change wins at least
 nine pairs in ten (ties count for neither side), and its median beats the
-base's by more than the distance between the base's quartiles; fewer
-than ten pairs give no verdict.  A verdict of no gain still exits 0; a
-run that fails, or reports a failed operation, exits 1.
+base's by more than the distance between the base's quartiles (the
+exclusive quartiles that bench/run.py reports); fewer than ten pairs
+give no verdict.  A verdict of no gain still exits 0; a run that fails,
+or reports a failed operation, exits 1.
+
+Both sides start from the same bytecode state: neither copy has a
+__pycache__, and every run gets PYTHONDONTWRITEBYTECODE=1, so no run
+writes one and every process compiles the package.
 """
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -25,12 +33,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(checkout: Path, args) -> dict:
+def run(checkout: Path, args, env: dict) -> dict:
     """The metrics of one `bench/run.py --trace 0` run in the checkout."""
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", "1",
          "--seconds", str(args.seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True)
+        cwd=checkout, env=env, capture_output=True, text=True)
     lines = result.stdout.splitlines()
     report = json.loads(lines[-1]) if result.returncode == 0 and lines else None
     if report is None or report["failed"]:
@@ -41,7 +49,7 @@ def run(checkout: Path, args) -> dict:
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
 
 
@@ -51,15 +59,23 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     better = {metric["name"]: metric["better"]
               for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as tmp:
-        base = Path(tmp)
+        base, change = Path(tmp, "base"), Path(tmp, "change")
+        base.mkdir()
+        listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                                 "--exclude-standard"], cwd=ROOT, capture_output=True,
+                                text=True, check=True).stdout.split("\0")
+        for name in filter(None, listed):
+            if (ROOT / name).is_file():  # a tracked file may be deleted in the working tree
+                (change / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, change / name)
         archive = subprocess.Popen(["git", "archive", args.base], cwd=ROOT, stdout=subprocess.PIPE)
         untar = subprocess.run(["tar", "-x", "-C", str(base)], stdin=archive.stdout)
         archive.stdout.close()
@@ -67,9 +83,9 @@ def main() -> int:
             sys.exit(f"cannot export {args.base}")
         runs = {"base": [], "change": []}
         for i in range(args.pairs):
-            sides = [("base", base), ("change", ROOT)]
+            sides = [("base", base), ("change", change)]
             for side, checkout in sides[::-1] if i % 2 else sides:
-                runs[side].append(run(checkout, args))
+                runs[side].append(run(checkout, args, env))
             print(f"pair {i + 1}: " + "  ".join(
                 f"{side} {runs[side][-1]['frames_per_s']:.6g}" for side in runs), flush=True)
 
