@@ -118,12 +118,8 @@ def _cmd_ber(args) -> int:
     from . import channel_sim
 
     report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed)
-    text = report.CSV_HEADER + "\n" + report.csv_row() + "\n"
-    if args.csv:
-        with replacing(args.csv) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with replacing(args.csv) if args.csv else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(report.CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 
 
@@ -137,22 +133,6 @@ def _cmd_selftest(args) -> int:
     # Both oracle checks read the table; a build that raises fails both.
     oracle_table = functools.cache(reference_oracle.build_syndrome_table)
 
-    def mismatches(inputs, ours, reference) -> tuple[bool, str]:
-        bad = sum(1 for x in inputs if ours(x) != reference(x))
-        return bad == 0, f"{bad} mismatches"
-
-    def multipliers() -> tuple[bool, str]:
-        bad = sum(1 for a, b in product(range(64), repeat=2)
-                  if gf_mul_mse(a, b) != gf_mul_table(a, b, tables))
-        return bad == 0, f"{bad} mismatches"
-
-    # The syndromes and the parity are XORs of one table entry per input
-    # byte.  The inputs with one nonzero byte read every entry (entry 0 of
-    # a table through the other bytes' inputs), so agreement on them is
-    # agreement on every input.
-    def single_byte_words(bits: int) -> list[int]:
-        return [b << k for k in range(0, bits, 8) for b in range(1, 256) if (b << k) >> bits == 0]
-
     # S_i is the XOR of alpha^(i*j) over the set positions j of the word.
     antilog = tables.antilog
 
@@ -165,24 +145,6 @@ def _cmd_selftest(args) -> int:
             s3 ^= antilog[3 * j % 63]
             word &= word - 1
         return s1, s2, s3
-
-    words = single_byte_words(CODEWORD_BITS)
-
-    def syndromes() -> tuple[bool, str]:
-        return mismatches(words, compute_syndromes, definitional_syndromes)
-
-    messages = single_byte_words(MESSAGE_BITS)
-
-    def encoded(message: int) -> tuple[int, tuple[int, int, int]]:
-        codeword = encode(message)
-        return codeword, compute_syndromes(codeword)
-
-    def encoder() -> tuple[bool, str]:
-        return mismatches(messages, encoded, lambda m: (encode_lfsr(m), (0, 0, 0)))
-
-    def distinctness() -> tuple[bool, str]:
-        table = oracle_table()
-        return reference_oracle.verify_syndrome_distinctness(table), f"{len(table)} entries"
 
     # The words below 2^12 are the 4096 remainders mod g(x), one in each
     # coset of the code, and a decode depends only on the coset.
@@ -198,11 +160,29 @@ def _cmd_selftest(args) -> int:
         return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
                 f"{bad} disagreements, {correctable} correctable")
 
+    def verdict(bad: int) -> tuple[bool, str]:
+        return bad == 0, f"{bad} mismatches"
+
+    # The syndromes and the parity are XORs of one table entry per input
+    # byte.  The inputs with one nonzero byte read every entry (entry 0 of
+    # a table through the other bytes' inputs), so agreement on them is
+    # agreement on every input.
+    words = [b << k for k in range(0, CODEWORD_BITS, 8) for b in range(1, 256)
+             if (b << k) >> CODEWORD_BITS == 0]
+    messages = [word for word in words if word >> MESSAGE_BITS == 0]
     checks = [
-        ("multiplier equivalence (4096 pairs)", multipliers),
-        (f"syndrome certificate ({len(words)} single-byte words)", syndromes),
-        (f"encoder certificate ({len(messages)} single-byte messages)", encoder),
-        ("syndrome distinctness (2017 keys)", distinctness),
+        ("multiplier equivalence (4096 pairs)", lambda: verdict(sum(
+            1 for a, b in product(range(64), repeat=2)
+            if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)))),
+        (f"syndrome certificate ({len(words)} single-byte words)", lambda: verdict(sum(
+            1 for word in words if compute_syndromes(word) != definitional_syndromes(word)))),
+        # a codeword equals the LFSR's and has zero syndromes
+        (f"encoder certificate ({len(messages)} single-byte messages)", lambda: verdict(sum(
+            1 for m in messages
+            if (c := encode(m)) != encode_lfsr(m) or compute_syndromes(c) != (0, 0, 0)))),
+        ("syndrome distinctness (2017 keys)", lambda: (
+            reference_oracle.verify_syndrome_distinctness(oracle_table()),
+            f"{len(oracle_table())} entries")),
         (f"decoder/oracle coset certificate ({cosets} cosets)", coset_certificate),
     ]
     ok = True

@@ -161,12 +161,12 @@ def decode(received: int, tables: GfTables | None = None) -> DecodeOutcome:
          syndromes, a failed re-check raising RuntimeError), anything
          else UNCORRECTABLE.
     """
-    syndrome = _syndrome_word(received)
-    if not syndrome:
+    syndromes = compute_syndromes(received)
+    if syndromes == (0, 0, 0):
         return DecodeOutcome(_NO_ERROR, _NO_POSITIONS, received)
-    if not syndrome & 63:
+    if not syndromes[0]:
         return _UNCORRECTABLE
-    locator = solve_locator((syndrome & 63, syndrome >> 6 & 63, syndrome >> 12))
+    locator = solve_locator(syndromes)
     positions = chien_search(locator)
     if len(positions) != (2 if locator[2] else 1):
         return _UNCORRECTABLE

@@ -298,6 +298,22 @@ def test_decode_raises_when_recheck_fails(monkeypatch):
         decode(1 << 5)
 
 
+def test_decode_reads_its_syndromes_through_compute_syndromes(monkeypatch):
+    # one call per decode, through the module global that a trace replaces
+    calls = 0
+    correct = decoder.compute_syndromes
+
+    def counted(word):
+        nonlocal calls
+        calls += 1
+        return correct(word)
+
+    monkeypatch.setattr(decoder, "compute_syndromes", counted)
+    for word in range(1 << PARITY_BITS):
+        decode(word)
+    assert calls == 1 << PARITY_BITS
+
+
 def test_decode_equals_oracle_on_every_coset(syndrome_table):
     # words 0..4095 are the 4096 remainders mod g(x): one per coset
     correctable = 0
