@@ -9,24 +9,26 @@ floor(p * 2^53), which is integer-exact for any double p.
 
 Per-frame sub-seeds are successive outputs of the master seed's stream,
 so frames are independent and results do not depend on evaluation
-order.  There is one such stream, `substream_seeds(seed)`.  The BER
-harness reads its odd positions, 2i+1 for frame i's channel noise, and
-keeps position 2i for its message; the CLI's `corrupt`, which has no
-message to draw, takes frame i's flip mask from position i (through
+order.  There is one such stream, `substream_seeds(seed)`.  The CLI's
+`corrupt` takes frame i's flip mask from position i (through
 `random_error_patterns` for a fixed weight, `bernoulli_masks` for the
-BSC).  These streams compute 256 frames at a time out of the caller's
-sight, frame i of a block in its own 128-bit lane of a Python int; a BSC
-block draws one bit position of all 256 masks per pass.  That changes no
-output: the one-frame functions `substream_seed`, `random_error_pattern`
-and `bernoulli_mask` define them.  `bernoulli_mask`, one draw per bit,
-also draws the short block of fewer than 256 masks that ends a `ber` run.
+BSC); the BER harness takes frame i's noise from position 2i+1 and
+keeps position 2i for its message.  The blocks compute 256 frames at a
+time out of the caller's sight, frame i of a block in its own 128-bit
+lane of a Python int: a BSC block draws one bit position of all 256
+masks per pass, and the harness computes the noise sub-seeds of a block
+straight into lanes, the odd positions only.  That changes no output:
+the one-frame functions `substream_seed`, `random_error_pattern` and
+`bernoulli_mask` define them.  `bernoulli_mask`, one draw per bit, also
+draws a short final block of fewer than 256 masks.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
 decoder names the same error positions for both; every counter is
-therefore a function of f.  Sub-seed 2i stays reserved for frame i's
-message, so the counters equal those of the explicit encode -> corrupt
--> decode run with messages drawn from those sub-seeds.
+therefore a function of f, and the harness counts a whole block at a
+time from its masks and error patterns.  Sub-seed 2i stays reserved for
+frame i's message, so the counters equal those of the explicit encode
+-> corrupt -> decode run with messages drawn from those sub-seeds.
 """
 
 from __future__ import annotations
@@ -108,6 +110,10 @@ _ONES = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK_FRAMES, "little")
 _LOW = _MASK64 * _ONES
 _RAMP = int.from_bytes(b"".join((((i + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
                                 for i in range(_BLOCK_FRAMES)), "little")
+_ODD_RAMP = (_RAMP << 1) & _LOW  # (2i + 2) * golden mod 2^64: sub-seed 2i + 1 in lane i
+# A frame's message bits in every lane, and bit 63, a coset_decoder's UNCORRECTABLE mark.
+_MESSAGE_LANES = ((1 << CODEWORD_BITS) - (1 << PARITY_BITS)) * _ONES
+_MARK_LANES = (1 << CODEWORD_BITS) * _ONES
 
 
 def _mix_lanes(x: int) -> int:
@@ -149,40 +155,46 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
 def bernoulli_masks(p: float, seeds: Iterable[int], nbits: int) -> Iterator[int]:
     """bernoulli_mask(p, s, nbits) for each s of `seeds` in turn, 1 <= nbits <= 63."""
     # Checked in the call, not on the first next() as in a generator function.
-    threshold = _threshold(p)
+    _threshold(p)
     if not 0 < nbits <= CODEWORD_BITS:
         raise ValueError(f"need 1 <= nbits <= 63, got {nbits}")
-    return _bernoulli_blocks(p, threshold, iter(seeds), nbits)
+    seeds = iter(seeds)
+    blocks = iter(lambda: [seed & _MASK64 for seed in islice(seeds, _BLOCK_FRAMES)], [])
+    return chain.from_iterable(_lane_values(_mask_lanes(p, _lanes(block), len(block), nbits))
+                               [:len(block)] for block in blocks)
 
 
-def _bernoulli_blocks(p: float, threshold: int, seeds: Iterator[int], nbits: int) -> Iterator[int]:
-    """The masks of `bernoulli_masks`, _BLOCK_FRAMES seeds at a time, seed i's in lane i.
+def _mask_lanes(p: float, seeds: int, count: int, nbits: int) -> int:
+    """bernoulli_mask(p, s, nbits) in lane i for the seed s in lane i < count of `seeds`.
 
-    One pass draws bit j of every mask at once: lane i holds SplitMix64(s_i)'s
-    state for draw j.  _mix_lanes leaves a lane's bits 64..96 at 0 and the
-    threshold is at most 2^64, so the bias makes bits 0..64 of a lane
-    draw + 2^64 - threshold < 2^65: no carry passes bit 64, which is set
-    exactly where the draw is at or above the threshold.  The passes run
-    from bit nbits - 1 down to 0 and shift the collected bits up one place
-    each, so bit 64 + j of lane i ends up holding the complement of mask
-    i's bit j; nbits <= 63 keeps it inside the lane.  A short final block,
-    where lanes cost more than they save, takes `bernoulli_mask`.
+    Each lane of `seeds` is below 2^64.  A short block (count below
+    _BLOCK_FRAMES), where lanes cost more than they save, takes
+    `bernoulli_mask`.  A full one draws bit j of every mask in one pass:
+    lane i holds SplitMix64(s)'s state for draw j.  _mix_lanes leaves a
+    lane's bits 64..96 at 0 and the threshold is at most 2^64, so the bias
+    makes bits 0..64 of a lane draw + 2^64 - threshold < 2^65: no carry
+    passes bit 64, which is set exactly where the draw is at or above the
+    threshold.  The passes run from bit nbits - 1 down to 0 and shift the
+    collected bits up one place each, so bit 64 + j of lane i ends up
+    holding the complement of mask i's bit j; nbits <= 63 keeps it inside
+    the lane.
     """
-    bias = ((1 << 64) - threshold) * _ONES
-    step, flag, full = _GOLDEN * _ONES, _ONES << 64, (1 << nbits) - 1
-    while block := list(islice(seeds, _BLOCK_FRAMES)):
-        if len(block) < _BLOCK_FRAMES:
-            yield from (bernoulli_mask(p, seed, nbits) for seed in block)
-            continue
-        # Below 2^70 in every lane while the passes run: no borrow crosses lanes.
-        states = int.from_bytes(struct.pack("<" + "Q8x" * _BLOCK_FRAMES,
-                                            *[seed & _MASK64 for seed in block]),
-                                "little") + nbits * step
-        kept = 0
-        for _ in range(nbits):
-            kept = kept << 1 | (_mix_lanes(states) + bias) & flag
-            states -= step
-        yield from map(full.__xor__, _lane_values(kept >> 64))
+    if count < _BLOCK_FRAMES:
+        return _lanes([bernoulli_mask(p, seed, nbits) for seed in _lane_values(seeds)[:count]])
+    bias = ((1 << 64) - _threshold(p)) * _ONES
+    step, flag = _GOLDEN * _ONES, _ONES << 64
+    # Below 2^70 in every lane while the passes run: no borrow crosses lanes.
+    states = seeds + nbits * step
+    kept = 0
+    for _ in range(nbits):
+        kept = kept << 1 | (_mix_lanes(states) + bias) & flag
+        states -= step
+    return kept >> 64 ^ ((1 << nbits) - 1) * _ONES
+
+
+def _lanes(values: list[int]) -> int:
+    """values[i], each below 2^64, in lane i."""
+    return int.from_bytes(struct.pack("<" + "Q8x" * len(values), *values), "little")
 
 
 def _substream_lanes(seed: int, first: int) -> int:
@@ -309,36 +321,37 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     the BSC with the flip mask f drawn from sub-seed 2i+1.  Decoding is
     linear: decode(c ^ f) and decode(f) see the same syndromes and name
     the same estimated error ê, so the delivered message differs from the
-    sent one by (f ^ ê) >> 12, the message bits of decode(f).corrected,
-    or by f >> 12 when the frame is UNCORRECTABLE (both words are below
-    2^63, so the shift leaves the 51 message bits).  Neither depends on
-    the message, so it is never drawn or encoded, a clean frame (f = 0)
-    is skipped, and `decode` runs once per coset of f (`coset_decoder`).
-    The counters equal those of the explicit encode -> corrupt -> decode run.
-    Identical (p, frames, seed) always produce an identical report, in
-    any evaluation order.  The optional `tables` is not read: the
-    decoder works in its one fixed field.
+    sent one by the message bits of f ^ ê, or of f when the frame is
+    UNCORRECTABLE.  Neither depends on the message, so it is never drawn
+    or encoded, a clean frame (f = 0) is skipped, and `decode` runs once
+    per coset of f (`coset_decoder`).
+    Each block of 256 frames is counted with a few popcounts over its
+    masks and patterns, one 128-bit lane a frame.  The counters equal
+    those of the explicit encode -> corrupt -> decode run.  Identical
+    (p, frames, seed) always produce an identical report, in any
+    evaluation order.  The optional `tables` is not read: the decoder
+    works in its one fixed field.
     """
     if frames < 1:
         raise ValueError("need at least one frame")
-    pre_fec = post_fec = uncorrectable = miscorrected = 0
-    decoded = coset_decoder(decode, CODEWORD_BITS)
-    for flips in bernoulli_masks(p, islice(substream_seeds(seed), 1, 2 * frames, 2),
-                                 CODEWORD_BITS):
-        if flips == 0:
-            continue
-        corrected = decoded(flips)
-        errors = flips >> PARITY_BITS
-        pre_fec += errors.bit_count()
-        # corrected is f ^ ê, the error left after decoding; an UNCORRECTABLE
-        # frame (None) delivers its received message bits unrepaired.
-        residual = errors if corrected is None else corrected >> PARITY_BITS
-        if residual:
-            post_fec += residual.bit_count()
-            if corrected is None:
-                uncorrectable += 1
-            else:
-                miscorrected += 1
+    patterns = coset_decoder(decode, CODEWORD_BITS)
+    pre_fec = post_fec = uncorrectable = frame_errors = 0
+    for first in range(0, frames, _BLOCK_FRAMES):
+        count = min(frames - first, _BLOCK_FRAMES)
+        # substream_seed(seed, 2 * (first + i) + 1), frame first + i's noise, in lane i
+        seeds = _mix_lanes(((seed + 2 * first * _GOLDEN) & _MASK64) * _ONES + _ODD_RAMP) & _LOW
+        flips = _mask_lanes(p, seeds, count, CODEWORD_BITS)
+        masks = list(filter(None, _lane_values(flips)[:count]))  # a clean frame counts nowhere
+        # f ^ ê in each lane, with bit 63 set where the frame is UNCORRECTABLE,
+        # whose message bits are those of f; a residual is nonzero exactly
+        # where adding _MESSAGE_LANES carries into bit 63.
+        left = _lanes(masks) ^ _lanes(patterns(masks))
+        residual = left & _MESSAGE_LANES
+        hit = (residual + _MESSAGE_LANES) & _MARK_LANES
+        pre_fec += (flips & _MESSAGE_LANES).bit_count()
+        post_fec += residual.bit_count()
+        uncorrectable += (hit & left).bit_count()
+        frame_errors += hit.bit_count()
     return BerReport(
         p=p,
         seed=seed,
@@ -346,5 +359,5 @@ def run_ber_experiment(p: float, frames: int, seed: int,
         pre_fec_bit_errors=pre_fec,
         post_fec_bit_errors=post_fec,
         uncorrectable_frames=uncorrectable,
-        miscorrected_frames=miscorrected,
+        miscorrected_frames=frame_errors - uncorrectable,
     )

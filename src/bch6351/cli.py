@@ -36,7 +36,7 @@ import functools
 import sys
 import time
 from collections.abc import Iterator
-from itertools import product
+from itertools import chain, product
 from os.path import realpath
 
 from . import reference_oracle
@@ -51,7 +51,7 @@ from .encoder import (
     encode_shortened,
 )
 from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode, decode_shortened
-from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
+from .frame_file import FrameFileError, blocks, parse_frame_file, replacing, write_frame_file
 
 
 def _cmd_encode(args) -> int:
@@ -63,8 +63,8 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
-    corrected = (coset_decoder(decode_shortened, SHORT_CODEWORD_BITS) if args.short
-                 else coset_decoder(decode, CODEWORD_BITS))
+    patterns = (coset_decoder(decode_shortened, SHORT_CODEWORD_BITS) if args.short
+                else coset_decoder(decode, CODEWORD_BITS))
     # A report row after its frame index, by the number of bits corrected.
     rows = [f",{status.value},{bits}\n" for status, bits in
             ((DecodeStatus.NO_ERROR, 0), (DecodeStatus.CORRECTED, 1), (DecodeStatus.CORRECTED, 2))]
@@ -73,13 +73,13 @@ def _cmd_decode(args) -> int:
 
     def messages(report) -> Iterator[int | None]:
         nonlocal uncorrectable
-        for index, word in enumerate(received):
-            fixed = corrected(word)
-            if fixed is None:
+        decoded = chain.from_iterable(zip(block, patterns(block)) for block in blocks(received))
+        for index, (word, pattern) in enumerate(decoded):
+            if pattern >> CODEWORD_BITS:  # the UNCORRECTABLE sentinel
                 uncorrectable += 1
                 message, row = None, failed_row
             else:
-                message, row = fixed >> PARITY_BITS, rows[(word ^ fixed).bit_count()]
+                message, row = (word ^ pattern) >> PARITY_BITS, rows[pattern.bit_count()]
             if report is not None:
                 report.write(f"{index}{row}")
             yield message

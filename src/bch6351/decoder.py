@@ -29,7 +29,8 @@ depends on the received word alone.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import struct
+from collections.abc import Callable, Sequence
 from enum import Enum
 from typing import NamedTuple
 
@@ -192,30 +193,60 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
     return DecodeOutcome(outcome.status, outcome.positions, outcome.corrected >> PARITY_BITS)
 
 
-def coset_decoder(decoder, bits: int) -> Callable[[int], int | None]:
+def _key_columns() -> list[tuple[bytes, bytes]]:
+    """For byte k of a word, bytes.translate tables to the low and the high
+    byte of its share of the coset key S1 | S3 << 6, derived from _Bk."""
+    # From S1 | S2 << 6 | S3 << 12: the low byte S1 | (S3 & 3) << 6, the high S3 >> 2.
+    # _B7 covers bits 56..62: its entries past 127 are never read.
+    return [(bytes([s & 63 | s >> 6 & 192 for s in table]).ljust(256, b"\0"),
+             bytes([s >> 14 for s in table]).ljust(256, b"\0"))
+            for table in (_B0, _B1, _B2, _B3, _B4, _B5, _B6, _B7)]
+
+
+def _coset_keys(words: Sequence[int], columns: list[tuple[bytes, bytes]]) -> tuple[int, ...]:
+    """The key S1 | S3 << 6 of each word below 2^63, by 16 bytes.translate calls."""
+    count = len(words)
+    data = struct.pack(f"<{count}Q", *words)
+    low = high = 0
+    for k, (low_table, high_table) in enumerate(columns):
+        low ^= int.from_bytes(data[k::8].translate(low_table), "little")
+        high ^= int.from_bytes(data[k::8].translate(high_table), "little")
+    pairs = bytearray(2 * count)
+    pairs[::2], pairs[1::2] = low.to_bytes(count, "little"), high.to_bytes(count, "little")
+    return struct.unpack(f"<{count}H", pairs)
+
+
+def coset_decoder(decoder, bits: int) -> Callable[[Sequence[int]], list[int]]:
     """A fresh memo of `decoder` (`decode` or `decode_shortened`) by coset.
 
-    `corrected(word)` returns the corrected word at either width (the
-    payload is `corrected >> PARITY_BITS`), or None when UNCORRECTABLE.
-    A decode depends only on the coset, named by (S1, S3) as S2 = S1^2, so
-    `decoder` runs on a coset's first word and its error pattern (-1 when
-    UNCORRECTABLE) corrects the later ones, whose syndromes then vanish as
-    the first's did.  Each memo starts empty, so a run sees the decoder as
-    it is during that run.  `bits` is the decoder's input width, 63 or 31:
-    every wider word goes to `decoder`, which raises its own ValueError.
+    `patterns(words)` returns the error pattern of each word of a block of
+    up to 256: word ^ pattern is the corrected word at either width (the
+    payload is its >> PARITY_BITS), and an UNCORRECTABLE word's pattern is
+    1 << 63, above every word.  A decode depends only on the coset, keyed
+    S1 | S3 << 6 as S2 = S1^2, so `decoder` runs on a coset's first word
+    and its pattern corrects the later ones.  The keys of a block come from
+    `_coset_keys`, whose tables each memo derives afresh from _B0 .. _B7,
+    as it starts empty: a run sees the decoder as it is during that run.
+    `bits` is the decoder's input width, 63 or 31: a block with a wider or
+    negative word sends it to `decoder`, which raises its own ValueError.
     """
-    patterns: list[int | None] = [None] * (1 << PARITY_BITS)
+    columns = _key_columns()
+    known: list[int | None] = [None] * (1 << PARITY_BITS)
 
-    def corrected(word: int) -> int | None:
-        if word >> bits:
-            decoder(word)
-        syndrome = _syndrome_word(word)
-        key = syndrome & 63 | syndrome >> 6 & 4032  # S1 | S3 << 6
-        pattern = patterns[key]
-        if pattern is None:
-            outcome = decoder(word)
-            pattern = patterns[key] = (-1 if outcome.corrected is None
-                                       else sum(1 << p for p in outcome.positions))
-        return None if pattern < 0 else word ^ pattern
+    def patterns(words: Sequence[int]) -> list[int]:
+        if max(words, default=0) >> bits or min(words, default=0) < 0:
+            for word in words:
+                if word >> bits:
+                    decoder(word)
+        keys = _coset_keys(words, columns)
+        found = list(map(known.__getitem__, keys))
+        if None in found:
+            for i, key in enumerate(keys):
+                if known[key] is None:
+                    outcome = decoder(words[i])
+                    known[key] = (1 << CODEWORD_BITS if outcome.corrected is None
+                                  else sum(1 << p for p in outcome.positions))
+                found[i] = known[key]
+        return found
 
-    return corrected
+    return patterns

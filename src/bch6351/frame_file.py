@@ -186,16 +186,23 @@ def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> No
     blocks; those `frames` gave before it raised are still written.
     """
     width, word, _ = _FORMAT[short]
-    frames = iter(frames)
     with replacing(path) as fh:
-        while True:
-            block: list[int | None] = []
-            try:
-                block.extend(islice(frames, _BLOCK_FRAMES))  # on a raise, keeps what came before
-            finally:
-                _write_block(fh, block, width, word)
-            if len(block) < _BLOCK_FRAMES:
-                return
+        for block in blocks(frames):
+            _write_block(fh, block, width, word)
+
+
+def blocks(frames: Iterable) -> Iterator[list]:
+    """`frames` in lists of _BLOCK_FRAMES, the last one shorter; when `frames`
+    raises, a list of the frames it gave before comes first."""
+    frames = iter(frames)
+    while True:
+        block = []
+        try:
+            block.extend(islice(frames, _BLOCK_FRAMES))  # on a raise, keeps what came before
+        finally:
+            yield block
+        if len(block) < _BLOCK_FRAMES:
+            return
 
 
 def _write_block(fh, block: list[int | None], width: int, word: str) -> None:

@@ -343,6 +343,11 @@ def test_ber_report_invariants():
     (0.5, 500, 7),
     (0.1, 1, 8),        # one frame
     (0.05, 257, 9),     # noise positions 1..513 cross two 256-position blocks
+    (0.05, 255, 10),    # one short block
+    (0.05, 256, 11),    # one full block
+    (0.05, 513, 12),    # two full blocks and a one-frame short block
+    (0.0, 257, 13),     # no noise in a full block or a short one
+    (1.0, 257, 14),     # every mask the all-ones codeword
 ])
 def test_ber_matches_per_frame_reference(p, frames, seed):
     # re-derive a run frame by frame through the public per-word ops,
@@ -368,8 +373,28 @@ def test_ber_matches_per_frame_reference(p, frames, seed):
     report = run_ber_experiment(p, frames, seed)
     assert (report.pre_fec_bit_errors, report.post_fec_bit_errors,
             report.uncorrectable_frames, report.miscorrected_frames) == (pre, post, unc, mis)
-    if p >= 0.1 and frames > 1:
+    if p == 1.0:
+        # the all-ones word is a nonzero codeword, in coset 0, with every message bit hit
+        assert (pre, post, unc, mis) == (MESSAGE_BITS * frames, MESSAGE_BITS * frames, 0, frames)
+    elif p >= 0.1 and frames > 1:
         assert unc > 0 and mis > 0
+
+
+def test_ber_counts_each_kind_of_frame(monkeypatch):
+    # A short block of masks injected through bernoulli_mask, which draws
+    # from the frames' noise sub-seeds 2i + 1: a clean frame, a nonzero
+    # codeword (message bit 0, miscorrected), weights 1 and 2 (corrected),
+    # and weight 3 in the message bits (uncorrectable).
+    codeword, weight3 = encode_lfsr(1), 7 << 20
+    assert decode(weight3).status is DecodeStatus.UNCORRECTABLE
+    masks = [0, codeword, 1 << 40, 1 << 5 | 1 << 50, weight3]
+    seeds = []
+    monkeypatch.setattr(channel_sim, "bernoulli_mask",
+                        lambda p, seed, nbits: seeds.append(seed) or masks[len(seeds) - 1])
+    report = run_ber_experiment(0.5, len(masks), 21)
+    assert seeds == [substream_seed(21, 2 * i + 1) for i in range(len(masks))]
+    assert (report.pre_fec_bit_errors, report.post_fec_bit_errors,
+            report.uncorrectable_frames, report.miscorrected_frames) == (1 + 1 + 1 + 3, 1 + 3, 1, 1)
 
 
 def test_ber_weight_le2_frames_never_err():
