@@ -9,18 +9,17 @@ floor(p * 2^53), which is integer-exact for any double p.
 
 Per-frame sub-seeds are successive outputs of the master seed's stream,
 so frames are independent and results do not depend on evaluation
-order.  There is one such stream, `substream_seeds(seed)`.  The CLI's
-`corrupt` takes frame i's flip mask from position i (through
-`random_error_patterns` for a fixed weight, `bernoulli_masks` for the
-BSC); the BER harness takes frame i's noise from position 2i+1 and
-keeps position 2i for its message.  The blocks compute 256 frames at a
-time out of the caller's sight, frame i of a block in its own 128-bit
-lane of a Python int: a BSC block draws one bit position of all 256
-masks per pass, and the harness computes the noise sub-seeds of a block
-straight into lanes, the odd positions only.  That changes no output:
-the one-frame functions `substream_seed`, `random_error_pattern` and
-`bernoulli_mask` define them.  `bernoulli_mask`, one draw per bit, also
-draws a short final block of fewer than 256 masks.
+order.  There is one such stream: `substream_seed(seed, i)` is position
+i.  The CLI's `corrupt` takes frame i's flip mask from position i
+(`random_error_patterns` for a fixed weight, `bernoulli_masks` for the
+BSC, each given the master seed); the BER harness takes frame i's noise
+from position 2i+1 and keeps 2i for its message.  Both compute 256
+frames at a time out of the caller's sight, frame i of a block in its
+own 128-bit lane of a Python int, and read one generator, `_draws`, for
+draw 0, 1, 2, ... of every lane: a mask block sets bit j of all 256
+masks from draw j.  That changes no output: the one-frame functions
+`substream_seed`, `random_error_pattern` and `bernoulli_mask` define
+them.  `bernoulli_mask` also draws a short final block of the harness.
 
 The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
@@ -34,8 +33,8 @@ frame i's message, so the counters equal those of the explicit encode
 from __future__ import annotations
 
 import struct
-from collections.abc import Iterable, Iterator
-from itertools import chain, count, islice
+from collections.abc import Iterator
+from itertools import chain, count
 from typing import NamedTuple
 
 from .gf64 import GfTables
@@ -152,44 +151,48 @@ def bernoulli_mask(p: float, seed: int, nbits: int) -> int:
     return sum(1 << j for j in range(nbits) if draw() < threshold)
 
 
-def bernoulli_masks(p: float, seeds: Iterable[int], nbits: int) -> Iterator[int]:
-    """bernoulli_mask(p, s, nbits) for each s of `seeds` in turn, 1 <= nbits <= 63."""
+def bernoulli_masks(p: float, seed: int, nbits: int) -> Iterator[int]:
+    """bernoulli_mask(p, substream_seed(seed, i), nbits) for i = 0, 1, 2, ..., 1 <= nbits <= 63."""
     # Checked in the call, not on the first next() as in a generator function.
     _threshold(p)
     if not 0 < nbits <= CODEWORD_BITS:
         raise ValueError(f"need 1 <= nbits <= 63, got {nbits}")
-    seeds = iter(seeds)
-    blocks = iter(lambda: [seed & _MASK64 for seed in islice(seeds, _BLOCK_FRAMES)], [])
-    return chain.from_iterable(_lane_values(_mask_lanes(p, _lanes(block), len(block), nbits))
-                               [:len(block)] for block in blocks)
+    return chain.from_iterable(
+        _lane_values(_mask_lanes(p, _substream_lanes(seed, first), _BLOCK_FRAMES, nbits))
+        for first in count(0, _BLOCK_FRAMES))
+
+
+def _draws(seeds: int) -> Iterator[int]:
+    """Draw 0, 1, 2, ... of SplitMix64(s) in lane i, for s the low 64 bits of lane i of `seeds`.
+
+    A state grows by golden a draw, inside its lane for 2^64 draws; _mix_lanes reduces it.
+    """
+    states, step = seeds & _LOW, _GOLDEN * _ONES
+    while True:
+        states += step
+        yield _mix_lanes(states)
 
 
 def _mask_lanes(p: float, seeds: int, count: int, nbits: int) -> int:
     """bernoulli_mask(p, s, nbits) in lane i for the seed s in lane i < count of `seeds`.
 
-    Each lane of `seeds` is below 2^64.  A short block (count below
+    Only a lane's low 64 bits are its seed.  A short block (count below
     _BLOCK_FRAMES), where lanes cost more than they save, takes
-    `bernoulli_mask`.  A full one draws bit j of every mask in one pass:
-    lane i holds SplitMix64(s)'s state for draw j.  _mix_lanes leaves a
-    lane's bits 64..96 at 0 and the threshold is at most 2^64, so the bias
-    makes bits 0..64 of a lane draw + 2^64 - threshold < 2^65: no carry
-    passes bit 64, which is set exactly where the draw is at or above the
-    threshold.  The passes run from bit nbits - 1 down to 0 and shift the
-    collected bits up one place each, so bit 64 + j of lane i ends up
-    holding the complement of mask i's bit j; nbits <= 63 keeps it inside
-    the lane.
+    `bernoulli_mask`.  A full one draws bit j of every mask in pass j.
+    _mix_lanes leaves a lane's bits 64..96 at 0 and the threshold is at
+    most 2^64, so the bias makes bits 0..64 of a lane draw + 2^64 -
+    threshold < 2^65: no carry passes bit 64, which is set exactly where
+    the draw is at or above the threshold.  Shifting that flag down by
+    64 - j moves it to bit j of the same lane, so lane i collects the
+    complement of mask i's bits.
     """
     if count < _BLOCK_FRAMES:
         return _lanes([bernoulli_mask(p, seed, nbits) for seed in _lane_values(seeds)[:count]])
-    bias = ((1 << 64) - _threshold(p)) * _ONES
-    step, flag = _GOLDEN * _ONES, _ONES << 64
-    # Below 2^70 in every lane while the passes run: no borrow crosses lanes.
-    states = seeds + nbits * step
+    bias, flag = ((1 << 64) - _threshold(p)) * _ONES, _ONES << 64
     kept = 0
-    for _ in range(nbits):
-        kept = kept << 1 | (_mix_lanes(states) + bias) & flag
-        states -= step
-    return kept >> 64 ^ ((1 << nbits) - 1) * _ONES
+    for j, draw in zip(range(nbits), _draws(seeds)):
+        kept |= ((draw + bias) & flag) >> (64 - j)
+    return kept ^ ((1 << nbits) - 1) * _ONES
 
 
 def _lanes(values: list[int]) -> int:
@@ -198,14 +201,8 @@ def _lanes(values: list[int]) -> int:
 
 
 def _substream_lanes(seed: int, first: int) -> int:
-    """substream_seed(seed, first + j) in lane j, for j < _BLOCK_FRAMES."""
+    """substream_seed(seed, first + j) in the low 64 bits of lane j, for j < _BLOCK_FRAMES."""
     return _mix_lanes(((seed + first * _GOLDEN) & _MASK64) * _ONES + _RAMP)
-
-
-def substream_seeds(seed: int) -> Iterator[int]:
-    """substream_seed(seed, i) for i = 0, 1, 2, ..."""
-    return chain.from_iterable(_lane_values(_substream_lanes(seed, first))
-                               for first in count(0, _BLOCK_FRAMES))
 
 
 class BerReport(NamedTuple):
@@ -293,11 +290,9 @@ def _error_pattern_block(weight: int, n: int, seed: int, first: int) -> list[int
     down the scalar path, which draws that frame's next value from its own
     stream.
     """
-    states = _substream_lanes(seed, first) & _LOW
     picks = []
-    for i in range(weight):
-        states += _GOLDEN * _ONES  # lane j holds frame first + j's SplitMix64 state, below 2^70
-        draws = _lane_values(_mix_lanes(states))
+    for i, lanes in zip(range(weight), _draws(_substream_lanes(seed, first))):
+        draws = _lane_values(lanes)
         if max(draws) >= (1 << 64) - (1 << 64) % (n - i):
             return [random_error_pattern(weight, n, substream_seed(seed, first + j))
                     for j in range(_BLOCK_FRAMES)]
@@ -339,7 +334,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     for first in range(0, frames, _BLOCK_FRAMES):
         count = min(frames - first, _BLOCK_FRAMES)
         # substream_seed(seed, 2 * (first + i) + 1), frame first + i's noise, in lane i
-        seeds = _mix_lanes(((seed + 2 * first * _GOLDEN) & _MASK64) * _ONES + _ODD_RAMP) & _LOW
+        seeds = _mix_lanes(((seed + 2 * first * _GOLDEN) & _MASK64) * _ONES + _ODD_RAMP)
         flips = _mask_lanes(p, seeds, count, CODEWORD_BITS)
         masks = list(filter(None, _lane_values(flips)[:count]))  # a clean frame counts nowhere
         # f ^ ê in each lane, with bit 63 set where the frame is UNCORRECTABLE,

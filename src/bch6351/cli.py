@@ -107,7 +107,7 @@ def _cmd_corrupt(args) -> int:
     # frame as it is read, so the frames before a rejected line are still
     # written.
     if args.bsc is not None:
-        masks = channel_sim.bernoulli_masks(args.bsc, channel_sim.substream_seeds(args.seed), n)
+        masks = channel_sim.bernoulli_masks(args.bsc, args.seed, n)
     else:
         masks = channel_sim.random_error_patterns(args.weight, n, args.seed)
     write_frame_file(args.outfile, map(int.__xor__, frames, masks), args.short)

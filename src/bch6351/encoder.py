@@ -86,15 +86,16 @@ def compute_generator(t: int) -> int:
 def encode_lfsr(message: int) -> int:
     """Encode a 51-bit message through the 12-stage feedback shift register.
 
-    The register starts at zero and is shifted 51 times, message bit m50
-    first.  After the last shift it holds the parity bits (bit i = r_i),
-    and the codeword is the message shifted up by 12 with the parity
-    appended below.
+    The register starts at zero and takes one shift per message bit, m50
+    first.  A zero bit shifted into a zero register leaves it at zero, so
+    the shifts begin at the message's top set bit.  After the last shift
+    (m0) it holds the parity bits (bit i = r_i), and the codeword is the
+    message shifted up by 12 with the parity appended below.
     """
     if message >> MESSAGE_BITS:
         raise ValueError("message exceeds 51 bits")
     reg = 0
-    for i in range(MESSAGE_BITS - 1, -1, -1):
+    for i in range(message.bit_length() - 1, -1, -1):
         feedback = ((reg >> _TOP_STAGE) ^ (message >> i)) & 1
         reg = (reg << 1) & _REGISTER_MASK
         if feedback:

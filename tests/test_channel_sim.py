@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import count, islice
+from itertools import islice
 
 import pytest
 
@@ -17,7 +17,6 @@ from bch6351.channel_sim import (
     random_error_patterns,
     run_ber_experiment,
     substream_seed,
-    substream_seeds,
 )
 from bch6351.decoder import DecodeStatus, decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
@@ -157,11 +156,17 @@ def test_random_pattern_weight1_uniformity():
 BLOCK_SEEDS = [0, 1, 2**64 - 1] + [random.Random(14).getrandbits(64) for _ in range(3)]
 
 
-def test_substream_seeds_equal_substream_seed():
-    # 600 seeds cross two block boundaries
-    for seed in BLOCK_SEEDS:
-        assert list(islice(substream_seeds(seed), 600)) == [
-            substream_seed(seed, i) for i in range(600)], seed
+def test_block_streams_read_substream_seed_i():
+    # frame i of each block stream reads sub-seed i, output i + 1 of
+    # SplitMix64(seed); 600 frames cross two block boundaries
+    for seed in BLOCK_SEEDS + [-1, 2**64 + 5]:
+        rng = SplitMix64(seed)
+        seeds = [rng.next_u64() for _ in range(600)]
+        assert seeds == [substream_seed(seed, i) for i in range(600)], seed
+        assert list(islice(bernoulli_masks(0.5, seed, 63), 600)) == [
+            reference_mask(0.5, s, 63) for s in seeds], seed
+        assert list(islice(random_error_patterns(2, 63, seed), 600)) == [
+            random_error_pattern(2, 63, s) for s in seeds], seed
 
 
 def test_random_error_patterns_equal_random_error_pattern():
@@ -252,52 +257,62 @@ def test_bernoulli_mask_equals_definitional_loop():
 
 def test_a_draw_at_the_threshold_sets_no_bit():
     # p = 1/2 puts the threshold at 2^63; a first draw just below it sets
-    # bit 0, one equal to it does not, in one frame and in a full block
+    # bit 0, one equal to it does not, in one frame and in lane 255 of a
+    # full block, whose master seed puts that frame's seed at sub-seed 255
     golden = 0x9E3779B97F4A7C15
     for draw, bit in ((2**63 - 1, 1), (2**63, 0)):
         seed = (unmix64(draw) - golden) % 2**64
         assert SplitMix64(seed).next_u64() == draw
         assert bernoulli_mask(0.5, seed, 1) == reference_mask(0.5, seed, 1) == bit
-        last = list(bernoulli_masks(0.5, [*range(255), seed], 63))[-1]
+        master = (unmix64(seed) - 256 * golden) % 2**64
+        assert substream_seed(master, 255) == seed
+        last = list(islice(bernoulli_masks(0.5, master, 63), 256))[-1]
         assert last == reference_mask(0.5, seed, 63) and last & 1 == bit
 
 
 def test_bernoulli_masks_equal_bernoulli_mask():
-    # seed counts on both sides of one and two 256-seed blocks, each block's
-    # lanes against the definitional loop at the threshold's extremes
-    rng = random.Random(20261019)
-    pool = [0, 2**64 - 1, 2**64 + 5, -1] + [rng.getrandbits(64) for _ in range(509)]
+    # frame counts on both sides of one and two 256-frame blocks, master
+    # seeds that exercise reduction mod 2^64, and each block's lanes against
+    # the definitional loop at the threshold's extremes: bit j is set when
+    # draw j of frame i's sub-seed falls below floor(p * 2^53) << 11
     probabilities = (0.0, 5e-324, 2.0 ** -53, 1e-3, 0.1, 0.5, 1 - 2.0 ** -53, 1.0)
-    for p in probabilities:
-        for nbits in (1, 31, 63):
-            want = [reference_mask(p, seed, nbits) for seed in pool]
-            for frames in (0, 1, 255, 256, 257, 512, 513):
-                assert list(bernoulli_masks(p, pool[:frames], nbits)) == want[:frames], \
-                    (p, nbits, frames)
-    # a stream that never ends is read one block at a time
-    assert list(islice(bernoulli_masks(0.1, count(), 63), 300)) == [
-        reference_mask(0.1, seed, 63) for seed in range(300)]
+    for seed in (0, 2**64 - 1, 2**64 + 5, -1):
+        draws = [[rng.next_u64() for _ in range(63)]
+                 for rng in (SplitMix64(substream_seed(seed, i)) for i in range(513))]
+        for p in probabilities:
+            threshold = int(p * 2.0 ** 53) << 11
+            for nbits in (1, 31, 63):
+                want = [sum(1 << j for j in range(nbits) if frame[j] < threshold)
+                        for frame in draws]
+                # one stream read on in pieces that end on both sides of each block
+                stream, taken = bernoulli_masks(p, seed, nbits), 0
+                for frames in (0, 1, 255, 256, 257, 512, 513):
+                    assert list(islice(stream, frames - taken)) == want[taken:frames], \
+                        (seed, p, nbits, frames)
+                    taken = frames
     # checked in the call, before any mask is taken
     for p, nbits in ((1.5, 63), (math.nan, 63), (0.5, 0), (0.5, 64)):
         with pytest.raises(ValueError):
-            bernoulli_masks(p, [0], nbits)
+            bernoulli_masks(p, 0, nbits)
 
 
 def test_full_blocks_are_drawn_in_lanes(monkeypatch):
-    # the one-frame definitions see only the seeds of a final short block of
-    # masks, and no weight-W frame unless a draw meets its rejection limit
+    # the block streams never call the one-frame definitions unless a draw
+    # meets its rejection limit; run_ber_experiment calls bernoulli_mask for
+    # the noise sub-seeds 2i + 1 of its final short block, and for no others
     calls = []
     monkeypatch.setattr(channel_sim, "bernoulli_mask",
                         lambda p, seed, nbits: calls.append(seed) or 0)
     monkeypatch.setattr(channel_sim, "random_error_pattern",
                         lambda weight, n, seed: calls.append(seed) or 0)
-    for frames, short in ((255, 255), (256, 0), (513, 1), (600, 88)):
-        calls.clear()
-        assert len(list(bernoulli_masks(0.1, range(frames), 63))) == frames
-        assert calls == list(range(frames - short, frames)), frames
-    calls.clear()
+    assert len(list(islice(bernoulli_masks(0.1, 1, 63), 600))) == 600
     assert len(list(islice(random_error_patterns(2, 63, 1), 600))) == 600
     assert calls == []
+    for frames, short in ((255, 255), (256, 0), (513, 1), (600, 88)):
+        calls.clear()
+        assert run_ber_experiment(0.1, frames, 3).frames == frames
+        assert calls == [substream_seed(3, 2 * i + 1) for i in range(frames - short, frames)], \
+            frames
 
 
 def test_bsc_mean_flips_at_half():
@@ -305,7 +320,7 @@ def test_bsc_mean_flips_at_half():
     # flips within 5 sigma of 31.5, and the total recorded at commit ca86d0a
     frames = 100_000
     total = sum(mask.bit_count()
-                for mask in islice(bernoulli_masks(0.5, substream_seeds(0xB5C), 63), frames))
+                for mask in islice(bernoulli_masks(0.5, 0xB5C, 63), frames))
     mean = total / frames
     sigma_of_mean = math.sqrt(63 * 0.25) / math.sqrt(frames)
     assert abs(mean - 31.5) < 5 * sigma_of_mean, mean

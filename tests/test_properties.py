@@ -7,12 +7,13 @@ needs hypothesis (the `test` extra) to be collected.
 import contextlib
 import io
 import os
+from itertools import islice
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from bch6351 import frame_file
-from bch6351.channel_sim import bernoulli_mask, bernoulli_masks
+from bch6351.channel_sim import bernoulli_mask, bernoulli_masks, substream_seed
 from bch6351.cli import main
 from bch6351.decoder import decode
 from bch6351.encoder import MESSAGE_BITS, encode_lfsr
@@ -157,8 +158,8 @@ def test_decode_linearity_property(message, error):
 
 @settings(deadline=None)
 @given(p=st.floats(0, 1), frames=st.integers(0, 600), nbits=st.integers(1, 63),
-       rng=st.randoms(use_true_random=False))
-def test_bernoulli_masks_property(p, frames, nbits, rng):
-    # up to 600 seeds: as many as two 256-seed blocks of lanes and a short one
-    seeds = [rng.getrandbits(66) - 2**65 for _ in range(frames)]
-    assert list(bernoulli_masks(p, seeds, nbits)) == [bernoulli_mask(p, s, nbits) for s in seeds]
+       seed=st.integers(-2**65, 2**65))
+def test_bernoulli_masks_property(p, frames, nbits, seed):
+    # up to 600 frames: two 256-frame blocks of lanes and part of a third
+    assert list(islice(bernoulli_masks(p, seed, nbits), frames)) == [
+        bernoulli_mask(p, substream_seed(seed, i), nbits) for i in range(frames)]
