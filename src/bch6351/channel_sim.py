@@ -329,7 +329,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     """
     if frames < 1:
         raise ValueError("need at least one frame")
-    patterns = coset_decoder(decode, CODEWORD_BITS)
+    patterns = coset_decoder(decode)
     pre_fec = post_fec = uncorrectable = frame_errors = 0
     for first in range(0, frames, _BLOCK_FRAMES):
         count = min(frames - first, _BLOCK_FRAMES)

@@ -39,7 +39,7 @@ from collections.abc import Iterator
 from itertools import chain, product
 from os.path import realpath
 
-from . import reference_oracle
+from . import decoder, reference_oracle
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
 from .encoder import (
     CODEWORD_BITS,
@@ -48,23 +48,21 @@ from .encoder import (
     SHORT_CODEWORD_BITS,
     encode,
     encode_lfsr,
-    encode_shortened,
 )
-from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode, decode_shortened
+from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode
 from .frame_file import FrameFileError, blocks, parse_frame_file, replacing, write_frame_file
 
 
 def _cmd_encode(args) -> int:
     messages = parse_frame_file(args.infile, "message", args.short)
-    encoder = encode_shortened if args.short else encode
-    write_frame_file(args.outfile, map(encoder, messages), args.short)
+    write_frame_file(args.outfile, map(encode, messages), args.short)
     return 0
 
 
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
-    patterns = (coset_decoder(decode_shortened, SHORT_CODEWORD_BITS) if args.short
-                else coset_decoder(decode, CODEWORD_BITS))
+    patterns = coset_decoder(decode)
+    sent_bits = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
     # A report row after its frame index, by the number of bits corrected.
     rows = [f",{status.value},{bits}\n" for status, bits in
             ((DecodeStatus.NO_ERROR, 0), (DecodeStatus.CORRECTED, 1), (DecodeStatus.CORRECTED, 2))]
@@ -75,7 +73,7 @@ def _cmd_decode(args) -> int:
         nonlocal uncorrectable
         decoded = chain.from_iterable(zip(block, patterns(block)) for block in blocks(received))
         for index, (word, pattern) in enumerate(decoded):
-            if pattern >> CODEWORD_BITS:  # the UNCORRECTABLE sentinel
+            if pattern >> sent_bits:  # the UNCORRECTABLE mark, or a bit that was never sent
                 uncorrectable += 1
                 message, row = None, failed_row
             else:
@@ -153,10 +151,12 @@ def _cmd_selftest(args) -> int:
     def coset_certificate() -> tuple[bool, str]:
         table = oracle_table()
         bad = correctable = 0
-        for word in range(cosets):
-            ours = decode(word)
-            bad += ours != reference_oracle.brute_force_decode(word, table)
-            correctable += ours.status is not DecodeStatus.UNCORRECTABLE
+        # through the memo every decoding command runs, a 256-word block a call
+        patterns = chain.from_iterable(map(coset_decoder(decode), blocks(range(cosets))))
+        for word, pattern in zip(range(cosets), patterns):
+            ours = None if pattern >> CODEWORD_BITS else word ^ pattern
+            bad += ours != reference_oracle.brute_force_decode(word, table).corrected
+            correctable += ours is not None
         return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
                 f"{bad} disagreements, {correctable} correctable")
 
@@ -170,12 +170,20 @@ def _cmd_selftest(args) -> int:
     words = [b << k for k in range(0, CODEWORD_BITS, 8) for b in range(1, 256)
              if (b << k) >> CODEWORD_BITS == 0]
     messages = [word for word in words if word >> MESSAGE_BITS == 0]
+
+    def syndrome_certificate() -> tuple[bool, str]:
+        # the syndromes, and the memo's block keys S1 | S3 << 6 from fresh key tables
+        columns = decoder._key_columns()
+        keys = chain.from_iterable(decoder._coset_keys(block, columns) for block in blocks(words))
+        return verdict(sum(1 for word, key in zip(words, keys)
+                           if compute_syndromes(word) != (s := definitional_syndromes(word))
+                           or key != s[0] | s[2] << 6))
+
     checks = [
         ("multiplier equivalence (4096 pairs)", lambda: verdict(sum(
             1 for a, b in product(range(64), repeat=2)
             if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)))),
-        (f"syndrome certificate ({len(words)} single-byte words)", lambda: verdict(sum(
-            1 for word in words if compute_syndromes(word) != definitional_syndromes(word)))),
+        (f"syndrome certificate ({len(words)} single-byte words)", syndrome_certificate),
         # a codeword equals the LFSR's and has zero syndromes
         (f"encoder certificate ({len(messages)} single-byte messages)", lambda: verdict(sum(
             1 for m in messages
@@ -274,7 +282,3 @@ def main(argv=None) -> int:
     except (FrameFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -183,6 +183,7 @@ def decode_shortened(received31: int, tables: GfTables | None = None) -> DecodeO
     The 32 untransmitted message positions (codeword bits 31..62) are
     re-inserted as zeros.  Errors cannot occur in bits that were never
     sent, so any reported position there makes the word UNCORRECTABLE.
+    This defines `decode --short`, which reads the rule off `coset_decoder`.
     """
     if received31 >> SHORT_CODEWORD_BITS:
         raise ValueError("shortened word exceeds 31 bits")
@@ -216,36 +217,35 @@ def _coset_keys(words: Sequence[int], columns: list[tuple[bytes, bytes]]) -> tup
     return struct.unpack(f"<{count}H", pairs)
 
 
-def coset_decoder(decoder, bits: int) -> Callable[[Sequence[int]], list[int]]:
-    """A fresh memo of `decoder` (`decode` or `decode_shortened`) by coset.
+def coset_decoder(decoder) -> Callable[[Sequence[int]], list[int]]:
+    """A fresh memo of `decode` (or a stand-in) by coset, for both widths.
 
     `patterns(words)` returns the error pattern of each word of a block of
-    up to 256: word ^ pattern is the corrected word at either width (the
-    payload is its >> PARITY_BITS), and an UNCORRECTABLE word's pattern is
-    1 << 63, above every word.  A decode depends only on the coset, keyed
-    S1 | S3 << 6 as S2 = S1^2, so `decoder` runs on a coset's first word
-    and its pattern corrects the later ones.  The keys of a block come from
-    `_coset_keys`, whose tables each memo derives afresh from _B0 .. _B7,
-    as it starts empty: a run sees the decoder as it is during that run.
-    `bits` is the decoder's input width, 63 or 31: a block with a wider or
-    negative word sends it to `decoder`, which raises its own ValueError.
+    up to 256: word ^ pattern is the corrected word, and an UNCORRECTABLE
+    word's pattern is 1 << 63, above every word.  A (31, 19) word is
+    correctable when its pattern >> 31 is zero (`decode_shortened`).  A
+    decode depends only on the coset, keyed S1 | S3 << 6 as S2 = S1^2, so
+    `decoder` runs on a coset's first word and its pattern corrects the
+    later ones.  The keys of a block come from `_coset_keys`, whose tables
+    each memo derives afresh from _B0 .. _B7, as it starts empty: a run
+    sees the decoder as it is during that run.  A wider or negative word
+    goes to `decoder`, which raises its own ValueError, on every call.
     """
     columns = _key_columns()
     known: list[int | None] = [None] * (1 << PARITY_BITS)
 
     def patterns(words: Sequence[int]) -> list[int]:
-        if max(words, default=0) >> bits or min(words, default=0) < 0:
+        if max(words, default=0) >> CODEWORD_BITS or min(words, default=0) < 0:
             for word in words:
-                if word >> bits:
+                if word >> CODEWORD_BITS:
                     decoder(word)
         keys = _coset_keys(words, columns)
         found = list(map(known.__getitem__, keys))
         if None in found:
             for i, key in enumerate(keys):
                 if known[key] is None:
-                    outcome = decoder(words[i])
-                    known[key] = (1 << CODEWORD_BITS if outcome.corrected is None
-                                  else sum(1 << p for p in outcome.positions))
+                    corrected = decoder(words[i]).corrected
+                    known[key] = 1 << CODEWORD_BITS if corrected is None else words[i] ^ corrected
                 found[i] = known[key]
         return found
 

@@ -138,7 +138,7 @@ def encode_shortened(payload: int) -> int:
     The payload occupies message positions m0..m18 and the zero padding
     the high positions m19..m50, so codeword bits 31..62 are zero and the
     transmitted word is exactly the low 31 bits (parity in 0..11, payload
-    in 12..30).
+    in 12..30).  This defines `encode --short`, which maps `encode`.
     """
     if payload >> SHORT_PAYLOAD_BITS:
         raise ValueError("payload exceeds 19 bits")

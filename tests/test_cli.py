@@ -183,9 +183,10 @@ def test_shortened_round_trip(tmp_path):
     encoded = tmp_path / "c.hex"
     corrupted = tmp_path / "r.hex"
     decoded = tmp_path / "out.hex"
-    write_messages(infile, random_messages(25, seed=5, bits=19), short=True)
+    payloads = random_messages(25, seed=5, bits=19)
+    write_messages(infile, payloads, short=True)
     assert main(["encode", "--short", str(infile), str(encoded)]) == 0
-    assert all(len(line) == 8 for line in encoded.read_text().splitlines())
+    assert encoded.read_text() == "".join(f"{encoder.encode_shortened(m):08x}\n" for m in payloads)
     assert main(["corrupt", "--short", "--weight", "2", "--seed", "21",
                  str(encoded), str(corrupted)]) == 0
     assert main(["decode", "--short", str(corrupted), str(decoded)]) == 0
@@ -916,6 +917,22 @@ def wrong_top_byte_s3(monkeypatch):
     monkeypatch.setattr(cli, "compute_syndromes", compute_syndromes)
 
 
+def wrong_key_entry(monkeypatch):
+    # bit 0 of entry 0x40 of byte 3's low key table: the block key of
+    # 1 << 30 becomes that of the UNCORRECTABLE word 0xc62, which a memo
+    # then corrects with 1 << 30's pattern
+    correct = decoder._key_columns
+
+    def key_columns():
+        columns = correct()
+        low, high = columns[3]
+        columns[3] = (low[:0x40] + bytes([low[0x40] ^ 1]) + low[0x41:], high)
+        return columns
+
+    monkeypatch.setattr(decoder, "_key_columns", key_columns)
+    assert decoder.coset_decoder(decoder.decode)([1 << 30, 0xC62]) == [1 << 30, 1 << 30]
+
+
 def nonzero_codeword_syndromes(monkeypatch):
     # the codeword of message 1 still equals the LFSR's, so only its
     # syndromes can fail the encoder certificate
@@ -927,13 +944,14 @@ def nonzero_codeword_syndromes(monkeypatch):
 @pytest.mark.parametrize("fault, check, message", [
     (wrong_product, 0, "multiplier equivalence (4096 pairs): 1 mismatches"),
     (wrong_top_byte_s3, 1, "syndrome certificate (1912 single-byte words): 1 mismatches"),
+    (wrong_key_entry, 1, "syndrome certificate (1912 single-byte words): 1 mismatches"),
     (wrong_parity_entry, 2, "encoder certificate (1537 single-byte messages): 1 mismatches"),
     (nonzero_codeword_syndromes, 2,
      "encoder certificate (1537 single-byte messages): 1 mismatches"),
     (wrong_coset_3_word, 4,
      "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"),
-], ids=["wrong-product", "top-byte-s3", "parity-table-entry", "codeword-syndromes",
-        "coset-3-word"])
+], ids=["wrong-product", "top-byte-s3", "key-table-entry", "parity-table-entry",
+        "codeword-syndromes", "coset-3-word"])
 def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, check,
                                                        message):
     fault(monkeypatch)

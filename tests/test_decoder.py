@@ -521,64 +521,58 @@ def test_decode_shortened_rejects_oversized():
 
 # --- the per-run coset memo -----------------------------------------------
 
-def memo_pattern(outcome):
-    """The error pattern a coset memo returns for a decode's outcome."""
-    if outcome.corrected is None:
-        return 1 << 63
-    return sum(1 << p for p in outcome.positions)
-
-
-@pytest.mark.parametrize("wrapped, bits", [(decode, 63), (decode_shortened, 31)])
-def test_block_keys_equal_the_syndrome_word(wrapped, bits):
-    # The 4096 cosets and the single-byte words (1912 at 63 bits) read
-    # every entry of the 16 translate tables, entry 0 of a table through
-    # the other bytes' words.  Cut into blocks of 1, 255 and 256 words, the
-    # block keys are S1 | S3 << 6 of the packed syndromes, and a memo's
-    # patterns are those of the decoder's own outcomes.
+def test_block_keys_equal_the_syndrome_word():
+    # The 4096 cosets and the 1912 single-byte words read every entry of
+    # the 16 translate tables, entry 0 of a table through the other bytes'
+    # words.  Cut into blocks of 1, 255 and 256 words, the block keys are
+    # S1 | S3 << 6 of the packed syndromes, and a memo's patterns are
+    # word ^ corrected of decode's own outcomes, or 1 << 63 for none.
     words = list(range(1 << PARITY_BITS))
-    words += [b << k for k in range(0, bits, 8) for b in range(1, 256) if (b << k) >> bits == 0]
-    assert len(words) == 4096 + (1912 if bits == 63 else 892)
+    words += [b << k for k in range(0, 63, 8) for b in range(1, 256) if (b << k) >> 63 == 0]
+    assert len(words) == 4096 + 1912
     want_keys = [s & 63 | s >> 6 & 4032 for s in map(decoder._syndrome_word, words)]
-    want_patterns = [memo_pattern(wrapped(word)) for word in words]
+    want_patterns = [1 << 63 if (corrected := decode(word).corrected) is None
+                     else word ^ corrected for word in words]
     columns = decoder._key_columns()
     for size in (1, 255, 256):
         blocks = [words[i:i + size] for i in range(0, len(words), size)]
         assert [key for block in blocks for key in decoder._coset_keys(block, columns)] == \
             want_keys, size
-        memo = coset_decoder(wrapped, bits)
+        memo = coset_decoder(decode)
         assert [pattern for block in blocks for pattern in memo(block)] == want_patterns, size
+    # The same patterns are the shortened code's: a word below 2^31 is
+    # correctable exactly when its pattern has no bit above 30, and then
+    # its payload is (word ^ pattern) >> 12.
+    short = [(word, pattern) for word, pattern in zip(words, want_patterns) if word >> 31 == 0]
+    assert len(short) == 4096 + 892
+    for word, pattern in short:
+        payload = None if pattern >> 31 else (word ^ pattern) >> PARITY_BITS
+        assert payload == decode_shortened(word).corrected, word
 
 
-@pytest.mark.parametrize("wrapped, bits, message", [
-    (decode, 63, "received word exceeds 63 bits"),
-    (decode_shortened, 31, "shortened word exceeds 31 bits"),
-])
-def test_coset_memo_checks_the_width_on_every_call(wrapped, bits, message):
-    # Words 1 plus a multiple of the generator, in word 1's coset: one a bit
-    # too wide for the decoder and, at 31 bits, a 53-bit one; and -1.
-    wide = [1 ^ GENERATOR_POLY << (bits - PARITY_BITS)]
-    if bits == 31:
-        wide.append(1 ^ GENERATOR_POLY << 40)
-    wide.append(-1)
+def test_coset_memo_checks_the_width_on_every_call():
+    # Word 1 plus a multiple of the generator, in word 1's coset and a bit
+    # too wide for the decoder, and -1.
+    wide = [1 ^ GENERATOR_POLY << MESSAGE_BITS, -1]
     calls = []
 
     def counted(word):
         calls.append(word)
-        return wrapped(word)
+        return decode(word)
 
-    seen = coset_decoder(counted, bits)
+    seen = coset_decoder(counted)
     assert seen([1]) == [1]
     for word in wide:
         # a fresh memo, and one that has already decoded the coset; the
         # word alone, and after a word inside the width that is not decoded
-        for memo in (coset_decoder(counted, bits), seen):
+        for memo in (coset_decoder(counted), seen):
             for block in ([word], [2, word]):
-                with pytest.raises(ValueError, match=message):
+                with pytest.raises(ValueError, match="received word exceeds 63 bits"):
                     memo(block)
     assert calls == [1] + [word for word in wide for _ in range(4)]
     # every word of the coset inside the width is corrected from the memo,
     # and an UNCORRECTABLE coset is decoded once and marked by bit 63
-    inside = [1 ^ GENERATOR_POLY << k for k in range(bits - PARITY_BITS)]
+    inside = [1 ^ GENERATOR_POLY << k for k in range(MESSAGE_BITS)]
     assert seen(inside) == [1] * len(inside)
     assert seen([7, 7 ^ GENERATOR_POLY, 1]) == [1 << 63, 1 << 63, 1]
     assert calls == [1] + [word for word in wide for _ in range(4)] + [7]
