@@ -521,15 +521,17 @@ def test_decode_shortened_rejects_oversized():
 
 # --- the per-run coset memo -----------------------------------------------
 
-def test_block_keys_equal_the_syndrome_word():
-    # The 4096 cosets and the 1912 single-byte words read every entry of
-    # the 16 translate tables, entry 0 of a table through the other bytes'
-    # words.  Cut into blocks of 1, 255 and 256 words, the block keys are
-    # S1 | S3 << 6 of the packed syndromes, and a memo's patterns are
-    # word ^ corrected of decode's own outcomes, or 1 << 63 for none.
+@pytest.mark.parametrize("wrapped, bits", [(decode, 63), (decode_shortened, 31)])
+def test_block_keys_equal_the_syndrome_word(wrapped, bits):
+    # The 4096 cosets and the single-byte words below 2^bits (1912 at 63
+    # bits) read every entry of the 16 translate tables, entry 0 of a table
+    # through the other bytes' words.  Cut into blocks of 1, 255 and 256
+    # words, the block keys are S1 | S3 << 6 of the packed syndromes, and
+    # the one memo's patterns are word ^ corrected of decode's own
+    # outcomes, or 1 << 63 for none.
     words = list(range(1 << PARITY_BITS))
-    words += [b << k for k in range(0, 63, 8) for b in range(1, 256) if (b << k) >> 63 == 0]
-    assert len(words) == 4096 + 1912
+    words += [b << k for k in range(0, bits, 8) for b in range(1, 256) if (b << k) >> bits == 0]
+    assert len(words) == 4096 + (1912 if bits == 63 else 892)
     want_keys = [s & 63 | s >> 6 & 4032 for s in map(decoder._syndrome_word, words)]
     want_patterns = [1 << 63 if (corrected := decode(word).corrected) is None
                      else word ^ corrected for word in words]
@@ -540,14 +542,14 @@ def test_block_keys_equal_the_syndrome_word():
             want_keys, size
         memo = coset_decoder(decode)
         assert [pattern for block in blocks for pattern in memo(block)] == want_patterns, size
-    # The same patterns are the shortened code's: a word below 2^31 is
-    # correctable exactly when its pattern has no bit above 30, and then
-    # its payload is (word ^ pattern) >> 12.
-    short = [(word, pattern) for word, pattern in zip(words, want_patterns) if word >> 31 == 0]
-    assert len(short) == 4096 + 892
-    for word, pattern in short:
-        payload = None if pattern >> 31 else (word ^ pattern) >> PARITY_BITS
-        assert payload == decode_shortened(word).corrected, word
+    # Each pattern read through the wrapped decoder's width: a word below
+    # 2^bits is correctable exactly when its pattern has no bit at or above
+    # bits, and then its payload is (word ^ pattern) >> 12.
+    for word, pattern in zip(words, want_patterns):
+        corrected = None if pattern >> bits else word ^ pattern
+        if wrapped is decode_shortened and corrected is not None:
+            corrected >>= PARITY_BITS
+        assert corrected == wrapped(word).corrected, word
 
 
 def test_coset_memo_checks_the_width_on_every_call():
