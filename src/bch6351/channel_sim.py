@@ -177,8 +177,9 @@ def _mask_lanes(p: float, seeds: int, count: int, nbits: int) -> int:
     """bernoulli_mask(p, s, nbits) in lane i for the seed s in lane i < count of `seeds`.
 
     Only a lane's low 64 bits are its seed.  A short block (count below
-    _BLOCK_FRAMES), where lanes cost more than they save, takes
-    `bernoulli_mask`.  A full one draws bit j of every mask in pass j.
+    _BLOCK_FRAMES) takes `bernoulli_mask`, the definition, once a frame
+    (bench/test_bench.py pins that; ROADMAP item 6); a full one draws bit
+    j of every mask in pass j.
     _mix_lanes leaves a lane's bits 64..96 at 0 and the threshold is at
     most 2^64, so the bias makes bits 0..64 of a lane draw + 2^64 -
     threshold < 2^65: no carry passes bit 64, which is set exactly where

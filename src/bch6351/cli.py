@@ -12,9 +12,9 @@ reserved bit is a parse error, reported with its file and line number.
 Decode writes an all-X sentinel line for uncorrectable frames so frame
 counts stay aligned across pipeline stages.
 
-Frames are streamed: each command reads and writes them in blocks of
-256 frames and transforms one at a time, so its memory does not grow
-with the file.  An output (OUT, decode's --report, ber's --csv) is
+Frames are streamed: each command reads them in blocks of up to 256
+frames and maps each block to a block it writes, so its memory does not
+grow with the file.  An output (OUT, decode's --report, ber's --csv) is
 written to a new file beside it and moved over it only when the command
 succeeds, so a failing run leaves the old file, or none, never a partial
 one; decode replaces OUT only once its report is fully written, and
@@ -36,7 +36,7 @@ import functools
 import sys
 import time
 from collections.abc import Iterator
-from itertools import chain, product
+from itertools import product
 from os.path import realpath
 
 from . import decoder, reference_oracle
@@ -50,12 +50,12 @@ from .encoder import (
     encode_lfsr,
 )
 from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode
-from .frame_file import FrameFileError, blocks, parse_frame_file, replacing, write_frame_file
+from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
 
 
 def _cmd_encode(args) -> int:
-    messages = parse_frame_file(args.infile, "message", args.short)
-    write_frame_file(args.outfile, map(encode, messages), args.short)
+    blocks = parse_frame_file(args.infile, "message", args.short)
+    write_frame_file(args.outfile, (list(map(encode, block)) for block in blocks), args.short)
     return 0
 
 
@@ -69,18 +69,22 @@ def _cmd_decode(args) -> int:
     failed_row = f",{DecodeStatus.UNCORRECTABLE.value},0\n"
     uncorrectable = 0
 
-    def messages(report) -> Iterator[int | None]:
+    def messages(report) -> Iterator[list[int | None]]:
         nonlocal uncorrectable
-        decoded = chain.from_iterable(zip(block, patterns(block)) for block in blocks(received))
-        for index, (word, pattern) in enumerate(decoded):
-            if pattern >> sent_bits:  # the UNCORRECTABLE mark, or a bit that was never sent
-                uncorrectable += 1
-                message, row = None, failed_row
-            else:
-                message, row = (word ^ pattern) >> PARITY_BITS, rows[pattern.bit_count()]
-            if report is not None:
-                report.write(f"{index}{row}")
-            yield message
+        index = 0
+        for block in received:
+            decoded = []
+            for word, pattern in zip(block, patterns(block)):
+                if pattern >> sent_bits:  # the UNCORRECTABLE mark, or a bit that was never sent
+                    uncorrectable += 1
+                    message, row = None, failed_row
+                else:
+                    message, row = (word ^ pattern) >> PARITY_BITS, rows[pattern.bit_count()]
+                if report is not None:
+                    report.write(f"{index}{row}")
+                index += 1
+                decoded.append(message)
+            yield decoded
         if report is not None:  # a report that cannot be written fails before OUT is replaced
             report.flush()
 
@@ -99,16 +103,16 @@ def _cmd_corrupt(args) -> int:
     # Imported here, so that the commands without a channel never compile it.
     from . import channel_sim
 
-    frames = parse_frame_file(args.infile, "codeword", args.short)
+    blocks = parse_frame_file(args.infile, "codeword", args.short)
     n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
-    # Frame i's mask comes from sub-seed i; map pairs a mask with each
-    # frame as it is read, so the frames before a rejected line are still
-    # written.
+    # Frame i's mask comes from sub-seed i: map draws a mask for each frame
+    # of a block and stops at its end.
     if args.bsc is not None:
         masks = channel_sim.bernoulli_masks(args.bsc, args.seed, n)
     else:
         masks = channel_sim.random_error_patterns(args.weight, n, args.seed)
-    write_frame_file(args.outfile, map(int.__xor__, frames, masks), args.short)
+    write_frame_file(args.outfile, (list(map(int.__xor__, block, masks)) for block in blocks),
+                     args.short)
     return 0
 
 
@@ -151,9 +155,8 @@ def _cmd_selftest(args) -> int:
     def coset_certificate() -> tuple[bool, str]:
         table = oracle_table()
         bad = correctable = 0
-        # through the memo every decoding command runs, a 256-word block a call
-        patterns = chain.from_iterable(map(coset_decoder(decode), blocks(range(cosets))))
-        for word, pattern in zip(range(cosets), patterns):
+        # through the memo every decoding command runs
+        for word, pattern in zip(range(cosets), coset_decoder(decode)(range(cosets))):
             ours = None if pattern >> CODEWORD_BITS else word ^ pattern
             bad += ours != reference_oracle.brute_force_decode(word, table).corrected
             correctable += ours is not None
@@ -173,8 +176,7 @@ def _cmd_selftest(args) -> int:
 
     def syndrome_certificate() -> tuple[bool, str]:
         # the syndromes, and the memo's block keys S1 | S3 << 6 from fresh key tables
-        columns = decoder._key_columns()
-        keys = chain.from_iterable(decoder._coset_keys(block, columns) for block in blocks(words))
+        keys = decoder._coset_keys(words, decoder._key_columns())
         return verdict(sum(1 for word, key in zip(words, keys)
                            if compute_syndromes(word) != (s := definitional_syndromes(word))
                            or key != s[0] | s[2] << 6))

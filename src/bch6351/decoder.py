@@ -220,25 +220,23 @@ def _coset_keys(words: Sequence[int], columns: list[tuple[bytes, bytes]]) -> tup
 def coset_decoder(decoder) -> Callable[[Sequence[int]], list[int]]:
     """A fresh memo of `decode` (or a stand-in) by coset, for both widths.
 
-    `patterns(words)` returns the error pattern of each word of a block of
-    up to 256: word ^ pattern is the corrected word, and an UNCORRECTABLE
-    word's pattern is 1 << 63, above every word.  A (31, 19) word is
-    correctable when its pattern >> 31 is zero (`decode_shortened`).  A
-    decode depends only on the coset, keyed S1 | S3 << 6 as S2 = S1^2, so
-    `decoder` runs on a coset's first word and its pattern corrects the
-    later ones.  The keys of a block come from `_coset_keys`, whose tables
-    each memo derives afresh from _B0 .. _B7, as it starts empty: a run
-    sees the decoder as it is during that run.  A wider or negative word
-    goes to `decoder`, which raises its own ValueError, on every call.
+    `patterns(words)` returns the error pattern of each word of a block:
+    word ^ pattern is the corrected word, and an UNCORRECTABLE word's
+    pattern is 1 << 63, above every word.  A (31, 19) word is correctable
+    when its pattern >> 31 is zero (`decode_shortened`).  A decode depends
+    only on the coset, keyed S1 | S3 << 6 as S2 = S1^2, so `decoder` runs
+    on a coset's first word and its pattern corrects the later ones.  The
+    keys of a block come from `_coset_keys`, whose tables each memo
+    derives afresh from _B0 .. _B7, as it starts empty: a run sees the
+    decoder as it is during that run.  A block with a wider or negative
+    word raises ValueError, as `decode` does, on every call.
     """
     columns = _key_columns()
     known: list[int | None] = [None] * (1 << PARITY_BITS)
 
     def patterns(words: Sequence[int]) -> list[int]:
         if max(words, default=0) >> CODEWORD_BITS or min(words, default=0) < 0:
-            for word in words:
-                if word >> CODEWORD_BITS:
-                    decoder(word)
+            raise ValueError("received word exceeds 63 bits")
         keys = _coset_keys(words, columns)
         found = list(map(known.__getitem__, keys))
         if None in found:

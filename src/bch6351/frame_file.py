@@ -1,13 +1,13 @@
 """Frame files: one hex frame per line, read and written as a stream.
 
 The line format and the command-line behaviour are described in the cli
-module.  Frames are read and written in blocks of 256 frames, so memory
-is bounded by the block.  A block of lines that hold only a frame's
-digits and a line end is checked and converted as a whole, and any other
-block line by line, so an error names its line either way.  This code is
-kept out of cli, which imports it: without cached bytecode every command
-compiles both, and two compiles peak lower than one (by tracemalloc,
-730 KiB for cli, 540 KiB here, 1260 KiB as one module).
+module.  Frames are read in blocks of up to 256 and written in the blocks
+given, so memory is bounded by the block.  A block of lines that hold
+only a frame's digits and a line end is checked and converted as a
+whole, any other block line by line, so an error names its line either
+way.  This code is kept out of cli, which imports it: without cached
+bytecode every command compiles both, and two compiles peak lower than
+one (by tracemalloc, 730 KiB for cli, 540 KiB here, 1260 KiB as one module).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ import os
 import re
 import stat
 import struct
-from collections.abc import Iterable, Iterator
-from itertools import islice
+from collections.abc import Iterable, Iterator, Sequence
 
 from .encoder import CODEWORD_BITS, MESSAGE_BITS, SHORT_CODEWORD_BITS, SHORT_PAYLOAD_BITS
 
@@ -37,24 +36,25 @@ _FORMAT = {short: (width, word, re.compile(f"(?:{_HEX_DIGIT}{{{width}}}(?:\n|\r\
            for short, width, word in ((False, 16, "Q"), (True, 8, "I"))}
 _VALUE_BITS = {("message", False): MESSAGE_BITS, ("codeword", False): CODEWORD_BITS,
                ("message", True): SHORT_PAYLOAD_BITS, ("codeword", True): SHORT_CODEWORD_BITS}
-_BLOCK_FRAMES = 256  # frames read or written as one block
+_BLOCK_FRAMES = 256  # frames read as one block
 _DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
 
 
-def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[int]:
-    """Open a frame file; return an iterator over its frames, each checked as it is read.
+def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[Sequence[int]]:
+    """Open a frame file; return an iterator over its blocks of up to 256 frames.
 
     The file is opened before this returns, so a missing input fails
     before any output is created.  A frame that breaks the width or
     reserved-bit rules raises FrameFileError with its line number when
-    the iterator reaches it.
+    the iterator reaches it, after a block of the frames before it in
+    its block, so that they can still be written.
     """
     frames = _frames(path, *_FORMAT[short], _VALUE_BITS[kind, short])
     next(frames)  # runs to the open; from there the generator closes the file
     return frames
 
 
-def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[int | None]:
+def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[Sequence | None]:
     try:
         # latin-1 maps each byte to one character, so a non-ASCII byte can
         # be named; newline="" ends lines at \n, \r\n and a bare \r, as
@@ -72,10 +72,14 @@ def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[
                 values = struct.unpack(f">{len(lines)}{word}", bytes.fromhex(text))
                 if not max(values) >> bits:
                     lineno += len(lines)
-                    yield from values
+                    yield values
                     continue
-            for lineno, line in enumerate(lines, start=lineno + 1):
-                yield _checked_line(path, lineno, line, width, bits)
+            block = []
+            try:  # on a rejected line, the frames before it come first
+                for lineno, line in enumerate(lines, start=lineno + 1):
+                    block.append(_checked_line(path, lineno, line, width, bits))
+            finally:
+                yield block
 
 
 def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> int:
@@ -178,34 +182,21 @@ def replacing(path: str) -> Iterator:
         raise
 
 
-def write_frame_file(path: str, frames: Iterable[int | None], short: bool) -> None:
+def write_frame_file(path: str, blocks: Iterable[Sequence[int | None]], short: bool) -> None:
     """Write one frame per line, an all-X line for None; `path` is replaced only on success.
 
     A frame is None or a value in 0..16^width - 1 (width 16, or 8 when
-    `short`); any other raises ValueError naming it.  Frames go out in
-    blocks; those `frames` gave before it raised are still written.
+    `short`); any other raises ValueError naming it.  Each block of
+    `blocks` goes out as it comes; those it gave before it raised are
+    still written.
     """
     width, word, _ = _FORMAT[short]
     with replacing(path) as fh:
-        for block in blocks(frames):
+        for block in blocks:
             _write_block(fh, block, width, word)
 
 
-def blocks(frames: Iterable) -> Iterator[list]:
-    """`frames` in lists of _BLOCK_FRAMES, the last one shorter; when `frames`
-    raises, a list of the frames it gave before comes first."""
-    frames = iter(frames)
-    while True:
-        block = []
-        try:
-            block.extend(islice(frames, _BLOCK_FRAMES))  # on a raise, keeps what came before
-        finally:
-            yield block
-        if len(block) < _BLOCK_FRAMES:
-            return
-
-
-def _write_block(fh, block: list[int | None], width: int, word: str) -> None:
+def _write_block(fh, block: Sequence[int | None], width: int, word: str) -> None:
     try:
         packed = struct.pack(f">{len(block)}{word}", *block)
     except struct.error:  # a None, or a value that does not fit

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import chain
 
 import pytest
 
@@ -284,12 +285,13 @@ def test_parse_error_bad_hex(tmp_path, capsys):
 def test_line_check(tmp_path, line, want):
     path = tmp_path / "f.hex"
     path.write_bytes(b"0" * 16 + b"\n" + line + b"\n")
-    frames = parse_frame_file(str(path), "codeword", short=False)
+    blocks = parse_frame_file(str(path), "codeword", short=False)
     if isinstance(want, int):
-        assert list(frames) == [0, want]
+        assert list(chain.from_iterable(blocks)) == [0, want]
     else:
+        assert next(blocks) == [0]  # the frame before the rejected line
         with pytest.raises(FrameFileError) as exc:
-            list(frames)
+            next(blocks)
         assert str(exc.value) == f"{path}:2: {want}"
 
 
@@ -305,7 +307,28 @@ def test_lines_split_as_bytes_splitlines(tmp_path):
     for data in [mixed] + [b" " * pad + crlf for pad in range(18)]:
         for text in (data, data.rstrip(b"\r\n")):
             path.write_bytes(text)
-            assert list(parse_frame_file(str(path), "codeword", short=False)) == words
+            blocks = parse_frame_file(str(path), "codeword", short=False)
+            assert list(chain.from_iterable(blocks)) == words
+
+
+def test_reader_yields_the_blocks_it_reads(tmp_path):
+    words = random_messages(600, seed=28, bits=63)
+    lines = [format(w, "016x") + "\n" for w in words]
+    path = tmp_path / "f.hex"
+    path.write_text("".join(lines))
+    blocks = list(parse_frame_file(str(path), "codeword", short=False))
+    assert [len(block) for block in blocks] == [256, 256, 88]
+    assert list(chain.from_iterable(blocks)) == words
+    # bare frame lines are converted as a whole: the block is struct.unpack's tuple
+    assert all(type(block) is tuple for block in blocks)
+    # a rejected line ends the reading after a block of the frames before
+    # it in its block: lines 257..299 for line 300, none for line 1
+    for bad_line, want in ((300, [words[:256], words[256:299]]), (1, [[]])):
+        path.write_text("".join(lines[:bad_line - 1]) + "zz\n" + "".join(lines[bad_line:]))
+        blocks = parse_frame_file(str(path), "codeword", short=False)
+        assert [list(next(blocks)) for _ in want] == want
+        with pytest.raises(FrameFileError, match=f"^{re.escape(str(path))}:{bad_line}: "):
+            next(blocks)
 
 
 def test_parse_error_wrong_width(tmp_path, capsys, monkeypatch):
@@ -681,13 +704,13 @@ def test_read_rewrite_identity(tmp_path):
 def test_write_frame_file_rejects_a_value_that_does_not_fit(tmp_path, short):
     width = 8 if short else 16
     out = tmp_path / "o.hex"
-    write_frame_file(str(out), [(1 << 4 * width) - 1], short)
+    write_frame_file(str(out), [[(1 << 4 * width) - 1]], short)
     assert out.read_text() == "f" * width + "\n"
     # a block of values, and a block that holds a sentinel
     for before in ([0], [None]):
         for bad in (1 << 4 * width, -1):
             with pytest.raises(ValueError, match=f"frame {bad} does not fit in {width} hex"):
-                write_frame_file(str(out), [*before, bad], short)
+                write_frame_file(str(out), [[*before, bad]], short)
             assert out.read_text() == "f" * width + "\n"
 
 

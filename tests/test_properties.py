@@ -35,9 +35,10 @@ def test_write_parse_round_trip_property(tmp_path_factory, kind, short, newline,
     bits = _value_bits(kind, short)
     frames = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=20))
     path = tmp_path_factory.mktemp("round-trip") / "frames.hex"
-    write_frame_file(str(path), frames, short)
+    write_frame_file(str(path), [frames], short)
     path.write_bytes(path.read_bytes().replace(b"\n", newline))
-    assert list(parse_frame_file(str(path), kind, short)) == frames
+    blocks = parse_frame_file(str(path), kind, short)
+    assert [frame for block in blocks for frame in block] == frames
 
 
 def _bad_lines(width, bits):
@@ -120,7 +121,8 @@ def test_block_parsing_equals_line_by_line_parsing_property(tmp_path_factory, ki
     values = []
     with mock.patch.object(frame_file, "_BLOCK_FRAMES", block):
         try:
-            values.extend(parse_frame_file(str(path), kind, short))
+            for frames in parse_frame_file(str(path), kind, short):
+                values.extend(frames)  # a rejected line's block comes first
             error = None
         except FrameFileError as exc:
             error = str(exc)
@@ -134,8 +136,7 @@ def test_block_writing_equals_line_writing_property(tmp_path_factory, short, blo
     frames = data.draw(st.lists(st.one_of(st.none(), st.integers(0, (1 << 4 * width) - 1)),
                                 max_size=12))
     path = tmp_path_factory.mktemp("blocks") / "frames.hex"
-    with mock.patch.object(frame_file, "_BLOCK_FRAMES", block):
-        write_frame_file(str(path), frames, short)
+    write_frame_file(str(path), [frames[i:i + block] for i in range(0, len(frames), block)], short)
     assert path.read_text() == "".join("X" * width + "\n" if value is None
                                        else format(value, f"0{width}x") + "\n"
                                        for value in frames)

@@ -5,8 +5,9 @@
 The base commit is exported with `git archive BASE | tar -x` into a
 temporary directory, and the working tree's files (tracked or not, less
 what .gitignore names) are copied next to it; the directory is removed at
-the end.  Each pair runs `bench/run.py --trace 0` once in each copy, with
-the first side alternating from pair to pair.  For every end-to-end
+the end, also when the script is ended by SIGTERM.  Each pair runs
+`bench/run.py --trace 0` once in each copy, with the first side
+alternating from pair to pair.  For every end-to-end
 metric in BENCHMARK.json it prints each side's median and quartiles, the
 change's wins, and the verdict of the gain rule: the change wins at least
 nine pairs in ten (ties count for neither side), and its median beats the
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -66,6 +68,9 @@ def main() -> int:
               for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    # SIGTERM exits as sys.exit does: subprocess.run kills the running
+    # child and the temporary directory is removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         base, change = Path(tmp, "base"), Path(tmp, "change")
         base.mkdir()

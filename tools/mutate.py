@@ -11,13 +11,15 @@ named test files run against it with `pytest -x -W error`.  A mutant the
 tests pass survives; the survivors are printed by line.  The copy writes
 no bytecode, so a mutant of the source's length and second is never
 shadowed by a cached one.  A test that hangs is ended by the suite's own
-hang bound (tests/conftest.py).
+hang bound (tests/conftest.py).  SIGTERM ends the sweep with the copy
+removed.
 """
 
 import ast
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -84,6 +86,9 @@ def mutants(source: bytes):
 
 def main(module: str, *tests: str) -> int:
     root = Path(__file__).resolve().parent.parent
+    # SIGTERM exits as sys.exit does: subprocess.run kills the running
+    # child and the temporary copy is removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(root, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".*cache"))
