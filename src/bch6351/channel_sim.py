@@ -25,9 +25,10 @@ The BER harness never draws a message.  The code is linear, so a
 received word c ^ f has the syndromes of its flip mask f alone, and the
 decoder names the same error positions for both; every counter is
 therefore a function of f, and the harness counts a whole block at a
-time from its masks and error patterns.  Sub-seed 2i stays reserved for
-frame i's message, so the counters equal those of the explicit encode
--> corrupt -> decode run with messages drawn from those sub-seeds.
+time from its masks and their error patterns, which a coset table
+built each run by linearity gives with no `decode` call.  Sub-seed 2i
+stays reserved for frame i's message, so the counters equal those of
+the explicit encode -> corrupt -> decode run with those messages.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ from itertools import chain, count
 from typing import NamedTuple
 
 from .gf64 import GfTables
-from .decoder import coset_decoder, decode
-# encode_lfsr is not called here; bench/run.py traces it as channel_sim.encode_lfsr.
+# decode and encode_lfsr are not called here; bench/run.py traces them in this module.
+from .decoder import coset_table, decode  # noqa: F401
 from .encoder import CODEWORD_BITS, MESSAGE_BITS, PARITY_BITS, encode_lfsr  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
@@ -110,7 +111,7 @@ _LOW = _MASK64 * _ONES
 _RAMP = int.from_bytes(b"".join((((i + 1) * _GOLDEN) & _MASK64).to_bytes(16, "little")
                                 for i in range(_BLOCK_FRAMES)), "little")
 _ODD_RAMP = (_RAMP << 1) & _LOW  # (2i + 2) * golden mod 2^64: sub-seed 2i + 1 in lane i
-# A frame's message bits in every lane, and bit 63, a coset_decoder's UNCORRECTABLE mark.
+# A frame's message bits in every lane, and bit 63, a coset_table's UNCORRECTABLE mark.
 _MESSAGE_LANES = ((1 << CODEWORD_BITS) - (1 << PARITY_BITS)) * _ONES
 _MARK_LANES = (1 << CODEWORD_BITS) * _ONES
 
@@ -319,8 +320,8 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     the same estimated error ê, so the delivered message differs from the
     sent one by the message bits of f ^ ê, or of f when the frame is
     UNCORRECTABLE.  Neither depends on the message, so it is never drawn
-    or encoded, a clean frame (f = 0) is skipped, and `decode` runs once
-    per coset of f (`coset_decoder`).
+    or encoded, a clean frame (f = 0) is skipped, and ê is read from a
+    per-run table of every coset's pattern (`coset_table`), not `decode`.
     Each block of 256 frames is counted with a few popcounts over its
     masks and patterns, one 128-bit lane a frame.  The counters equal
     those of the explicit encode -> corrupt -> decode run.  Identical
@@ -330,7 +331,7 @@ def run_ber_experiment(p: float, frames: int, seed: int,
     """
     if frames < 1:
         raise ValueError("need at least one frame")
-    patterns = coset_decoder(decode)
+    patterns = coset_table()
     pre_fec = post_fec = uncorrectable = frame_errors = 0
     for first in range(0, frames, _BLOCK_FRAMES):
         count = min(frames - first, _BLOCK_FRAMES)

@@ -49,7 +49,7 @@ from .encoder import (
     encode,
     encode_lfsr,
 )
-from .decoder import DecodeStatus, coset_decoder, compute_syndromes, decode
+from .decoder import DecodeStatus, coset_decoder, coset_table, compute_syndromes, decode
 from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
 
 
@@ -155,10 +155,12 @@ def _cmd_selftest(args) -> int:
     def coset_certificate() -> tuple[bool, str]:
         table = oracle_table()
         bad = correctable = 0
-        # through the memo every decoding command runs
-        for word, pattern in zip(range(cosets), coset_decoder(decode)(range(cosets))):
+        # through the memo that decode runs, then the table that ber reads
+        memo = coset_decoder(decode)(range(cosets))
+        for word, pattern, tabled in zip(range(cosets), memo, coset_table()(range(cosets))):
             ours = None if pattern >> CODEWORD_BITS else word ^ pattern
-            bad += ours != reference_oracle.brute_force_decode(word, table).corrected
+            bad += (ours != reference_oracle.brute_force_decode(word, table).corrected
+                    or tabled != pattern)
             correctable += ours is not None
         return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
                 f"{bad} disagreements, {correctable} correctable")

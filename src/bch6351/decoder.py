@@ -205,7 +205,9 @@ def _key_columns() -> list[tuple[bytes, bytes]]:
 
 
 def _coset_keys(words: Sequence[int], columns: list[tuple[bytes, bytes]]) -> tuple[int, ...]:
-    """The key S1 | S3 << 6 of each word below 2^63, by 16 bytes.translate calls."""
+    """The key S1 | S3 << 6 of each word, by 16 bytes.translate calls; ValueError past 63 bits."""
+    if max(words, default=0) >> CODEWORD_BITS or min(words, default=0) < 0:
+        raise ValueError("received word exceeds 63 bits")
     count = len(words)
     data = struct.pack(f"<{count}Q", *words)
     low = high = 0
@@ -229,14 +231,14 @@ def coset_decoder(decoder) -> Callable[[Sequence[int]], list[int]]:
     keys of a block come from `_coset_keys`, whose tables each memo
     derives afresh from _B0 .. _B7, as it starts empty: a run sees the
     decoder as it is during that run.  A block with a wider or negative
-    word raises ValueError, as `decode` does, on every call.
+    word raises ValueError, as `decode` does, on every call.  `decode`
+    and `selftest` run it, as bench/test_bench.py counts one `decode`
+    call per coset of a traced `cli-w2` run; `ber` reads `coset_table`.
     """
     columns = _key_columns()
     known: list[int | None] = [None] * (1 << PARITY_BITS)
 
     def patterns(words: Sequence[int]) -> list[int]:
-        if max(words, default=0) >> CODEWORD_BITS or min(words, default=0) < 0:
-            raise ValueError("received word exceeds 63 bits")
         keys = _coset_keys(words, columns)
         found = list(map(known.__getitem__, keys))
         if None in found:
@@ -248,3 +250,23 @@ def coset_decoder(decoder) -> Callable[[Sequence[int]], list[int]]:
         return found
 
     return patterns
+
+
+def coset_table() -> Callable[[Sequence[int]], list[int]]:
+    """`coset_decoder(decode)`'s patterns, from a table built by linearity.
+
+    `decode` corrects exactly the XORs u ^ v of two of 0 and the 63 unit
+    words, whose keys key(u) ^ key(v) are distinct (syndrome decoding);
+    1 << 63 marks the other 2079 cosets, and any other count of marks
+    raises RuntimeError.  Keys come from fresh key tables, as the memo's do."""
+    columns = _key_columns()
+    units = [0] + [1 << j for j in range(CODEWORD_BITS)]
+    keys = _coset_keys(units, columns)
+    mark = 1 << CODEWORD_BITS
+    table = [mark] * (1 << PARITY_BITS)
+    for i, (key, unit) in enumerate(zip(keys, units)):
+        for other_key, other in zip(keys[:i + 1], units):
+            table[key ^ other_key] = unit ^ other
+    if table.count(mark) != 2079:
+        raise RuntimeError("two error patterns of weight <= 2 share a coset key")
+    return lambda words: list(map(table.__getitem__, _coset_keys(words, columns)))

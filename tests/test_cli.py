@@ -231,21 +231,28 @@ def test_decode_equals_a_per_frame_decode_on_every_coset_twice(tmp_path, capsys,
 
 def test_each_decode_run_starts_with_an_empty_coset_memo(tmp_path, monkeypatch):
     # a run that reused an earlier run's decodes would hide a decoder fault
-    # from the benchmark's injected-fault run and from selftest; ber too
+    # from the benchmark's injected-fault run and from selftest
     infile, encoded, corrupted = tmp_path / "m.hex", tmp_path / "c.hex", tmp_path / "r.hex"
     write_messages(infile, random_messages(20, seed=6))
     assert main(["encode", str(infile), str(encoded)]) == 0
     assert main(["corrupt", "--weight", "2", "--seed", "9", str(encoded), str(corrupted)]) == 0
     assert main(["decode", str(corrupted), str(tmp_path / "first.hex")]) == 0
-    run_ber_experiment(0.1, 50, 1)
+    clean = run_ber_experiment(0.1, 200, 1)
 
     def broken(locator):
         raise ValueError("injected")
 
     monkeypatch.setattr(decoder, "chien_search", broken)
     assert main(["decode", str(corrupted), str(tmp_path / "second.hex")]) == 2
-    with pytest.raises(ValueError, match="injected"):
-        run_ber_experiment(0.1, 50, 1)
+    # ber calls no decode: each run builds its coset table from key tables
+    # it derives afresh, so a fault in an entry the build reads (a unit
+    # word's) or only a block's keys read (entry 3 of byte 0) reaches it
+    correct = decoder._B0
+    monkeypatch.setattr(decoder, "_B0", (correct[0], correct[1] ^ 1, *correct[2:]))
+    with pytest.raises(RuntimeError, match="share a coset key"):
+        run_ber_experiment(0.1, 200, 1)
+    monkeypatch.setattr(decoder, "_B0", (*correct[:3], correct[3] ^ 1, *correct[4:]))
+    assert run_ber_experiment(0.1, 200, 1) != clean
 
 
 def test_parse_error_bad_hex(tmp_path, capsys):
@@ -928,6 +935,19 @@ def wrong_coset_3_word(monkeypatch):
     monkeypatch.setattr(cli, "decode", decode)
 
 
+def wrong_table_coset_5(monkeypatch):
+    # the coset table alone gives coset 5 the pattern of coset 3; the memo
+    # and the oracle agree on it
+    correct = cli.coset_table
+
+    def coset_table():
+        patterns = correct()
+        return lambda words: [3 if word == 5 else pattern
+                              for word, pattern in zip(words, patterns(words))]
+
+    monkeypatch.setattr(cli, "coset_table", coset_table)
+
+
 def wrong_top_byte_s3(monkeypatch):
     # 1 << 62, the highest single-byte word, must be among the syndrome
     # certificate's inputs, and its S3 must be compared
@@ -943,7 +963,8 @@ def wrong_top_byte_s3(monkeypatch):
 def wrong_key_entry(monkeypatch):
     # bit 0 of entry 0x40 of byte 3's low key table: the block key of
     # 1 << 30 becomes that of the UNCORRECTABLE word 0xc62, which a memo
-    # then corrects with 1 << 30's pattern
+    # then corrects with 1 << 30's pattern, and a coset table's build
+    # finds two patterns on one key
     correct = decoder._key_columns
 
     def key_columns():
@@ -954,6 +975,8 @@ def wrong_key_entry(monkeypatch):
 
     monkeypatch.setattr(decoder, "_key_columns", key_columns)
     assert decoder.coset_decoder(decoder.decode)([1 << 30, 0xC62]) == [1 << 30, 1 << 30]
+    with pytest.raises(RuntimeError, match="share a coset key"):
+        decoder.coset_table()
 
 
 def nonzero_codeword_syndromes(monkeypatch):
@@ -964,24 +987,31 @@ def nonzero_codeword_syndromes(monkeypatch):
                         lambda word: (1, 1, 1) if word == codeword else correct(word))
 
 
-@pytest.mark.parametrize("fault, check, message", [
-    (wrong_product, 0, "multiplier equivalence (4096 pairs): 1 mismatches"),
-    (wrong_top_byte_s3, 1, "syndrome certificate (1912 single-byte words): 1 mismatches"),
-    (wrong_key_entry, 1, "syndrome certificate (1912 single-byte words): 1 mismatches"),
-    (wrong_parity_entry, 2, "encoder certificate (1537 single-byte messages): 1 mismatches"),
-    (nonzero_codeword_syndromes, 2,
-     "encoder certificate (1537 single-byte messages): 1 mismatches"),
-    (wrong_coset_3_word, 4,
-     "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"),
+@pytest.mark.parametrize("fault, failed", [
+    (wrong_product, {0: "multiplier equivalence (4096 pairs): 1 mismatches"}),
+    (wrong_top_byte_s3, {1: "syndrome certificate (1912 single-byte words): 1 mismatches"}),
+    # the coset table's build reads the entry through the unit word 1 << 30
+    (wrong_key_entry, {1: "syndrome certificate (1912 single-byte words): 1 mismatches",
+                       4: "decoder/oracle coset certificate (4096 cosets): raised RuntimeError: "
+                          "two error patterns of weight <= 2 share a coset key"}),
+    (wrong_parity_entry, {2: "encoder certificate (1537 single-byte messages): 1 mismatches"}),
+    (nonzero_codeword_syndromes,
+     {2: "encoder certificate (1537 single-byte messages): 1 mismatches"}),
+    (wrong_coset_3_word,
+     {4: "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"}),
+    (wrong_table_coset_5,
+     {4: "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"}),
 ], ids=["wrong-product", "top-byte-s3", "key-table-entry", "parity-table-entry",
-        "codeword-syndromes", "coset-3-word"])
-def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, check,
-                                                       message):
+        "codeword-syndromes", "coset-3-word", "table-coset-5"])
+def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[check].startswith(f"FAIL  {message} (")
-    assert [line[:4] for i, line in enumerate(lines[:5]) if i != check] == ["PASS"] * 4
+    for check, line in enumerate(lines[:5]):
+        if check in failed:
+            assert line.startswith(f"FAIL  {failed[check]} ("), line
+        else:
+            assert line.startswith("PASS  "), line
     assert re.fullmatch(r"SELF-TEST FAILED \(\d+\.\d{3}s\)", lines[5]) and len(lines) == 6
 
 

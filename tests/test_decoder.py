@@ -14,6 +14,7 @@ from bch6351.decoder import (
     chien_search,
     compute_syndromes,
     coset_decoder,
+    coset_table,
     decode,
     decode_shortened,
     solve_locator,
@@ -519,29 +520,34 @@ def test_decode_shortened_rejects_oversized():
         decode_shortened(1 << 31)
 
 
-# --- the per-run coset memo -----------------------------------------------
+# --- the per-run coset memo and coset table --------------------------------
 
 @pytest.mark.parametrize("wrapped, bits", [(decode, 63), (decode_shortened, 31)])
-def test_block_keys_equal_the_syndrome_word(wrapped, bits):
+def test_block_keys_equal_the_syndrome_word(wrapped, bits, syndrome_table):
     # The 4096 cosets and the single-byte words below 2^bits (1912 at 63
     # bits) read every entry of the 16 translate tables, entry 0 of a table
     # through the other bytes' words.  Cut into blocks of 1, 255 and 256
     # words, the block keys are S1 | S3 << 6 of the packed syndromes, and
-    # the one memo's patterns are word ^ corrected of decode's own
-    # outcomes, or 1 << 63 for none.
+    # the patterns of the one memo and of the coset table are word ^
+    # corrected of decode's own outcomes, or 1 << 63 for none; on the 4096
+    # cosets, those of the brute-force oracle too.
     words = list(range(1 << PARITY_BITS))
     words += [b << k for k in range(0, bits, 8) for b in range(1, 256) if (b << k) >> bits == 0]
     assert len(words) == 4096 + (1912 if bits == 63 else 892)
     want_keys = [s & 63 | s >> 6 & 4032 for s in map(decoder._syndrome_word, words)]
     want_patterns = [1 << 63 if (corrected := decode(word).corrected) is None
                      else word ^ corrected for word in words]
+    assert want_patterns[:4096] == [
+        1 << 63 if (corrected := brute_force_decode(word, syndrome_table).corrected) is None
+        else word ^ corrected for word in range(4096)]
     columns = decoder._key_columns()
     for size in (1, 255, 256):
         blocks = [words[i:i + size] for i in range(0, len(words), size)]
         assert [key for block in blocks for key in decoder._coset_keys(block, columns)] == \
             want_keys, size
-        memo = coset_decoder(decode)
-        assert [pattern for block in blocks for pattern in memo(block)] == want_patterns, size
+        for patterns in (coset_decoder(decode), coset_table()):
+            assert [pattern for block in blocks for pattern in patterns(block)] == \
+                want_patterns, size
     # Each pattern read through the wrapped decoder's width: a word below
     # 2^bits is correctable exactly when its pattern has no bit at or above
     # bits, and then its payload is (word ^ pattern) >> 12.
@@ -565,9 +571,10 @@ def test_coset_memo_checks_the_width_on_every_call():
     seen = coset_decoder(counted)
     assert seen([1]) == [1]
     for word in wide:
-        # a fresh memo, and one that has already decoded the coset; the
-        # word alone, and after a word inside the width that is not decoded
-        for memo in (coset_decoder(counted), seen):
+        # a fresh memo, one that has already decoded the coset, and a coset
+        # table; the word alone, and after a word inside the width that is
+        # not decoded
+        for memo in (coset_decoder(counted), seen, coset_table()):
             for block in ([word], [2, word]):
                 with pytest.raises(ValueError, match="received word exceeds 63 bits"):
                     memo(block)
@@ -578,3 +585,18 @@ def test_coset_memo_checks_the_width_on_every_call():
     assert seen(inside) == [1] * len(inside)
     assert seen([7, 7 ^ GENERATOR_POLY, 1]) == [1 << 63, 1 << 63, 1]
     assert calls == [1, 7]
+
+
+def test_coset_table_raises_when_two_patterns_share_a_key(monkeypatch):
+    # byte 0's key tables give unit word 2 the key of unit word 1, so the
+    # build writes fewer than 2017 distinct keys and leaves more than 2079 marks
+    correct = decoder._key_columns
+
+    def key_columns():
+        columns = correct()
+        columns[0] = tuple(table[:2] + table[1:2] + table[3:] for table in columns[0])
+        return columns
+
+    monkeypatch.setattr(decoder, "_key_columns", key_columns)
+    with pytest.raises(RuntimeError, match="two error patterns of weight <= 2 share a coset key"):
+        coset_table()
