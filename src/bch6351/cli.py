@@ -25,31 +25,23 @@ regular file (a FIFO, a device) is written in place, and /dev/stdout,
 
 Exit codes: 0 success; 1 when decode hit an uncorrectable frame (unless
 --allow-errors) or the self-test failed; 2 on usage or parse errors, or
-when an input cannot be read or an output cannot be written.
+when an input cannot be read or an output cannot be written.  selftest
+runs the checks in the certificates module, which no other command imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import sys
-import time
 from collections.abc import Iterator
-from itertools import product
 from os.path import realpath
 
-from . import decoder, reference_oracle
-from .gf64 import build_tables, format_antilog_table, gf_mul_mse, gf_mul_table
-from .encoder import (
-    CODEWORD_BITS,
-    MESSAGE_BITS,
-    PARITY_BITS,
-    SHORT_CODEWORD_BITS,
-    encode,
-    encode_lfsr,
-)
-from .decoder import DecodeStatus, coset_decoder, coset_table, compute_syndromes, decode
+# gf_mul_mse and encode_lfsr are not called here; bench/run.py traces them in this module.
+from .gf64 import build_tables, format_antilog_table, gf_mul_mse  # noqa: F401
+from .encoder import CODEWORD_BITS, PARITY_BITS, SHORT_CODEWORD_BITS, encode
+from .encoder import encode_lfsr  # noqa: F401
+from .decoder import DecodeStatus, coset_decoder, decode
 from .frame_file import FrameFileError, parse_frame_file, replacing, write_frame_file
 
 
@@ -131,88 +123,9 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    tables = build_tables()
-    # Both oracle checks read the table; a build that raises fails both.
-    oracle_table = functools.cache(reference_oracle.build_syndrome_table)
+    from . import certificates
 
-    # S_i is the XOR of alpha^(i*j) over the set positions j of the word.
-    antilog = tables.antilog
-
-    def definitional_syndromes(word: int) -> tuple[int, int, int]:
-        s1 = s2 = s3 = 0
-        while word:
-            j = (word & -word).bit_length() - 1
-            s1 ^= antilog[j]
-            s2 ^= antilog[2 * j % 63]
-            s3 ^= antilog[3 * j % 63]
-            word &= word - 1
-        return s1, s2, s3
-
-    # The words below 2^12 are the 4096 remainders mod g(x), one in each
-    # coset of the code, and a decode depends only on the coset.
-    cosets = 1 << PARITY_BITS
-
-    def coset_certificate() -> tuple[bool, str]:
-        table = oracle_table()
-        bad = correctable = 0
-        # through the memo that decode runs, then the table that ber reads
-        memo = coset_decoder(decode)(range(cosets))
-        for word, pattern, tabled in zip(range(cosets), memo, coset_table()(range(cosets))):
-            ours = None if pattern >> CODEWORD_BITS else word ^ pattern
-            bad += (ours != reference_oracle.brute_force_decode(word, table).corrected
-                    or tabled != pattern)
-            correctable += ours is not None
-        return (bad == 0 and correctable == reference_oracle.TABLE_SIZE,
-                f"{bad} disagreements, {correctable} correctable")
-
-    def verdict(bad: int) -> tuple[bool, str]:
-        return bad == 0, f"{bad} mismatches"
-
-    # The syndromes and the parity are XORs of one table entry per input
-    # byte.  The inputs with one nonzero byte read every entry (entry 0 of
-    # a table through the other bytes' inputs), so agreement on them is
-    # agreement on every input.
-    words = [b << k for k in range(0, CODEWORD_BITS, 8) for b in range(1, 256)
-             if (b << k) >> CODEWORD_BITS == 0]
-    messages = [word for word in words if word >> MESSAGE_BITS == 0]
-
-    def syndrome_certificate() -> tuple[bool, str]:
-        # the syndromes, and the memo's block keys S1 | S3 << 6 from fresh key tables
-        keys = decoder._coset_keys(words, decoder._key_columns())
-        return verdict(sum(1 for word, key in zip(words, keys)
-                           if compute_syndromes(word) != (s := definitional_syndromes(word))
-                           or key != s[0] | s[2] << 6))
-
-    checks = [
-        ("multiplier equivalence (4096 pairs)", lambda: verdict(sum(
-            1 for a, b in product(range(64), repeat=2)
-            if gf_mul_mse(a, b) != gf_mul_table(a, b, tables)))),
-        (f"syndrome certificate ({len(words)} single-byte words)", syndrome_certificate),
-        # a codeword equals the LFSR's and has zero syndromes
-        (f"encoder certificate ({len(messages)} single-byte messages)", lambda: verdict(sum(
-            1 for m in messages
-            if (c := encode(m)) != encode_lfsr(m) or compute_syndromes(c) != (0, 0, 0)))),
-        ("syndrome distinctness (2017 keys)", lambda: (
-            reference_oracle.verify_syndrome_distinctness(oracle_table()),
-            f"{len(oracle_table())} entries")),
-        (f"decoder/oracle coset certificate ({cosets} cosets)", coset_certificate),
-    ]
-    ok = True
-    start = lap = time.perf_counter()
-    for name, check in checks:
-        # A check that raises has failed; the rest still run.
-        try:
-            passed, detail = check()
-        except Exception as exc:
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        now = time.perf_counter()
-        print(f"{'PASS' if passed else 'FAIL'}  {name}: {detail} ({now - lap:.3f}s)", flush=True)
-        ok = ok and passed
-        lap = now
-
-    elapsed = time.perf_counter() - start
-    print(f"{'self-test passed' if ok else 'SELF-TEST FAILED'} ({elapsed:.3f}s)")
-    return 0 if ok else 1
+    return certificates.run()
 
 
 def build_parser() -> argparse.ArgumentParser:

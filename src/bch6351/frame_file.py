@@ -5,9 +5,8 @@ module.  Frames are read in blocks of up to 256 and written in the blocks
 given, so memory is bounded by the block.  A block of lines that hold
 only a frame's digits and a line end is checked and converted as a
 whole, any other block line by line, so an error names its line either
-way.  This code is kept out of cli, which imports it: without cached
-bytecode every command compiles both, and two compiles peak lower than
-one (by tracemalloc, 730 KiB for cli, 540 KiB here, 1260 KiB as one module).
+way.  It is kept out of cli, which imports it, as two compiles peak lower
+than one: 530 KiB for cli, 550 here, 1070 as one module (tracemalloc).
 """
 
 from __future__ import annotations

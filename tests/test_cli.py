@@ -16,7 +16,7 @@ from itertools import chain
 import pytest
 
 import bch6351
-from bch6351 import cli, decoder, encoder, reference_oracle
+from bch6351 import certificates, cli, decoder, encoder, reference_oracle
 from bch6351.channel_sim import (
     SplitMix64,
     bernoulli_mask,
@@ -860,6 +860,8 @@ def test_selftest_passes(capsys):
         "PASS  encoder certificate (1537 single-byte messages): 0 mismatches",
         "PASS  syndrome distinctness (2017 keys): 2017 entries",
         "PASS  decoder/oracle coset certificate (4096 cosets): 0 disagreements, 2017 correctable",
+        "PASS  byte combining certificate (8 multi-byte words): "
+        "syndromes 0 mismatches, encoder 0 mismatches",
         "self-test passed",
     ]
 
@@ -880,23 +882,26 @@ def test_selftest_references_see_every_input(monkeypatch, capsys):
         monkeypatch.setattr(module, name, counter)
 
     for name in ("gf_mul_mse", "gf_mul_table", "encode_lfsr", "compute_syndromes", "decode"):
-        counted(cli, name)
+        counted(certificates, name)
     counted(reference_oracle, "brute_force_decode")
     assert main(["selftest"]) == 0
-    assert calls == {"gf_mul_mse": 4096, "gf_mul_table": 4096, "encode_lfsr": 1537,
-                     "compute_syndromes": 1912 + 1537, "decode": 4096,
+    assert calls == {"gf_mul_mse": 4096, "gf_mul_table": 4096, "encode_lfsr": 1537 + 8,
+                     "compute_syndromes": 1912 + 1537 + 8 + 8, "decode": 4096,
                      "brute_force_decode": 4096}
     assert "self-test passed (" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("table, entry, bit, verdicts, raised", [
     # decode's zero-syndrome re-check raises in the coset certificate
-    ("_B0", 0x03, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
+    # (entry 0x03 is not one that a multi-byte word reads)
+    ("_B0", 0x03, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL", "PASS"],
+     "RuntimeError: corrected word"),
     # build_syndrome_table raises, and both checks that read its table fail
-    ("_B0", 0x01, 1 << 12, ["PASS", "FAIL", "FAIL", "FAIL", "FAIL"],
+    ("_B0", 0x01, 1 << 12, ["PASS", "FAIL", "FAIL", "FAIL", "FAIL", "FAIL"],
      "ValueError: syndrome collision"),
     # the top byte's table is read by the single-byte words placed there
-    ("_B7", 0x01, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL"], "RuntimeError: corrected word"),
+    ("_B7", 0x01, 1, ["PASS", "FAIL", "FAIL", "PASS", "FAIL", "FAIL"],
+     "RuntimeError: corrected word"),
 ], ids=["re-check", "key-collision", "top-byte"])
 def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, table, entry, bit,
                                                         verdicts, raised):
@@ -905,17 +910,18 @@ def test_selftest_reaches_a_verdict_when_a_check_raises(monkeypatch, capsys, tab
     monkeypatch.setattr(decoder, table, tuple(flipped))
     assert main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert [line[:4] for line in lines[:5]] == verdicts
+    assert [line[:4] for line in lines[:6]] == verdicts
     assert lines[1].startswith(
         "FAIL  syndrome certificate (1912 single-byte words): 1 mismatches (")
     assert lines[4].startswith(
         f"FAIL  decoder/oracle coset certificate (4096 cosets): raised {raised}")
-    assert lines[5].startswith("SELF-TEST FAILED") and len(lines) == 6
+    assert lines[6].startswith("SELF-TEST FAILED") and len(lines) == 7
 
 
 def wrong_product(monkeypatch):
-    correct = cli.gf_mul_mse
-    monkeypatch.setattr(cli, "gf_mul_mse", lambda a, b: correct(a, b) ^ (a == 5 and b == 9))
+    correct = certificates.gf_mul_mse
+    monkeypatch.setattr(certificates, "gf_mul_mse",
+                        lambda a, b: correct(a, b) ^ (a == 5 and b == 9))
 
 
 def wrong_parity_entry(monkeypatch):
@@ -926,38 +932,38 @@ def wrong_parity_entry(monkeypatch):
 
 def wrong_coset_3_word(monkeypatch):
     # coset 3 keeps its status, so it still counts as correctable
-    correct = cli.decode
+    correct = certificates.decode
 
     def decode(word):
         outcome = correct(word)
         return outcome._replace(corrected=outcome.corrected ^ 1 << 40) if word == 3 else outcome
 
-    monkeypatch.setattr(cli, "decode", decode)
+    monkeypatch.setattr(certificates, "decode", decode)
 
 
 def wrong_table_coset_5(monkeypatch):
     # the coset table alone gives coset 5 the pattern of coset 3; the memo
     # and the oracle agree on it
-    correct = cli.coset_table
+    correct = certificates.coset_table
 
     def coset_table():
         patterns = correct()
         return lambda words: [3 if word == 5 else pattern
                               for word, pattern in zip(words, patterns(words))]
 
-    monkeypatch.setattr(cli, "coset_table", coset_table)
+    monkeypatch.setattr(certificates, "coset_table", coset_table)
 
 
 def wrong_top_byte_s3(monkeypatch):
     # 1 << 62, the highest single-byte word, must be among the syndrome
     # certificate's inputs, and its S3 must be compared
-    correct = cli.compute_syndromes
+    correct = certificates.compute_syndromes
 
     def compute_syndromes(word):
         s1, s2, s3 = correct(word)
         return (s1, s2, s3 ^ 1) if word == 1 << 62 else (s1, s2, s3)
 
-    monkeypatch.setattr(cli, "compute_syndromes", compute_syndromes)
+    monkeypatch.setattr(certificates, "compute_syndromes", compute_syndromes)
 
 
 def wrong_key_entry(monkeypatch):
@@ -982,18 +988,50 @@ def wrong_key_entry(monkeypatch):
 def nonzero_codeword_syndromes(monkeypatch):
     # the codeword of message 1 still equals the LFSR's, so only its
     # syndromes can fail the encoder certificate
-    correct, codeword = cli.compute_syndromes, encoder.encode(1)
-    monkeypatch.setattr(cli, "compute_syndromes",
+    correct, codeword = certificates.compute_syndromes, encoder.encode(1)
+    monkeypatch.setattr(certificates, "compute_syndromes",
                         lambda word: (1, 1, 1) if word == codeword else correct(word))
+
+
+def or_combining_encode(monkeypatch):
+    # the parity tables' entries combined by OR: equal to the XOR wherever
+    # at most one message byte is nonzero, and on the all-ones message
+    def encode(message):
+        parity = 0
+        for k, table in enumerate(encoder._PARITY_TABLES):
+            parity |= table[message >> 8 * k & 0xFF]
+        return message << encoder.PARITY_BITS | parity
+
+    assert encode(0x7FFFFFFFFFFFF) == encoder.encode(0x7FFFFFFFFFFFF)
+    monkeypatch.setattr(certificates, "encode", encode)
+
+
+def or_combining_syndromes(monkeypatch):
+    # the syndrome tables' entries combined by OR; every codeword has more
+    # than one nonzero byte, so the encoder certificate's zero-syndrome
+    # check fails on each of its messages
+    tables = (decoder._B0, decoder._B1, decoder._B2, decoder._B3,
+              decoder._B4, decoder._B5, decoder._B6, decoder._B7)
+
+    def compute_syndromes(word):
+        packed = 0
+        for byte, table in zip(word.to_bytes(8, "little"), tables):
+            packed |= table[byte]
+        return packed & 63, packed >> 6 & 63, packed >> 12
+
+    monkeypatch.setattr(certificates, "compute_syndromes", compute_syndromes)
 
 
 @pytest.mark.parametrize("fault, failed", [
     (wrong_product, {0: "multiplier equivalence (4096 pairs): 1 mismatches"}),
     (wrong_top_byte_s3, {1: "syndrome certificate (1912 single-byte words): 1 mismatches"}),
     # the coset table's build reads the entry through the unit word 1 << 30
+    # and the multi-byte word with bit 6 of each byte set reads it too
     (wrong_key_entry, {1: "syndrome certificate (1912 single-byte words): 1 mismatches",
                        4: "decoder/oracle coset certificate (4096 cosets): raised RuntimeError: "
-                          "two error patterns of weight <= 2 share a coset key"}),
+                          "two error patterns of weight <= 2 share a coset key",
+                       5: "byte combining certificate (8 multi-byte words): "
+                          "syndromes 1 mismatches, encoder 0 mismatches"}),
     (wrong_parity_entry, {2: "encoder certificate (1537 single-byte messages): 1 mismatches"}),
     (nonzero_codeword_syndromes,
      {2: "encoder certificate (1537 single-byte messages): 1 mismatches"}),
@@ -1001,18 +1039,25 @@ def nonzero_codeword_syndromes(monkeypatch):
      {4: "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"}),
     (wrong_table_coset_5,
      {4: "decoder/oracle coset certificate (4096 cosets): 1 disagreements, 2017 correctable"}),
+    (or_combining_encode, {5: "byte combining certificate (8 multi-byte words): "
+                              "syndromes 0 mismatches, encoder 8 mismatches"}),
+    (or_combining_syndromes,
+     {2: "encoder certificate (1537 single-byte messages): 1537 mismatches",
+      5: "byte combining certificate (8 multi-byte words): "
+         "syndromes 8 mismatches, encoder 8 mismatches"}),
 ], ids=["wrong-product", "top-byte-s3", "key-table-entry", "parity-table-entry",
-        "codeword-syndromes", "coset-3-word", "table-coset-5"])
+        "codeword-syndromes", "coset-3-word", "table-coset-5", "or-combining-encode",
+        "or-combining-syndromes"])
 def test_selftest_fails_only_the_check_a_fault_reaches(monkeypatch, capsys, fault, failed):
     fault(monkeypatch)
     assert main(["selftest"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    for check, line in enumerate(lines[:5]):
+    for check, line in enumerate(lines[:6]):
         if check in failed:
             assert line.startswith(f"FAIL  {failed[check]} ("), line
         else:
             assert line.startswith("PASS  "), line
-    assert re.fullmatch(r"SELF-TEST FAILED \(\d+\.\d{3}s\)", lines[5]) and len(lines) == 6
+    assert re.fullmatch(r"SELF-TEST FAILED \(\d+\.\d{3}s\)", lines[6]) and len(lines) == 7
 
 
 def test_no_assert_statements_in_package():
@@ -1077,15 +1122,17 @@ def test_every_top_level_definition_has_a_reader_outside_the_tests():
 
 def test_cli_import_does_not_load_dataclasses():
     # dataclasses pulls in inspect, a large share of every command's start-up;
-    # -S keeps the interpreter's own site imports out of the check
+    # -S keeps the interpreter's own site imports out of the check.  Only
+    # selftest imports the certificates.
     result = subprocess.run(
         [sys.executable, "-S", "-c",
-         "import sys, bch6351.cli; print('dataclasses' in sys.modules)"],
+         "import sys, bch6351.cli; "
+         "print('dataclasses' in sys.modules, 'bch6351.certificates' in sys.modules)"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"
 
 
 def test_selftest_passes_under_optimize_flag():

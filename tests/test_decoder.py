@@ -7,6 +7,7 @@ from operator import xor
 import pytest
 
 from bch6351 import decoder
+from bch6351.certificates import definitional_syndromes
 from bch6351.channel_sim import SplitMix64
 from bch6351.decoder import (
     DecodeStatus,
@@ -33,23 +34,11 @@ def weight_le2_masks(n):
 
 # --- syndromes ------------------------------------------------------------
 
-def definitional_syndromes(received, tables):
-    """S_i = XOR of alpha^(i*j) over the set bit positions j, bit by bit."""
-    antilog = tables.antilog
-    s1 = s2 = s3 = 0
-    for j in range(63):
-        if received >> j & 1:
-            s1 ^= antilog[j]
-            s2 ^= antilog[2 * j % 63]
-            s3 ^= antilog[3 * j % 63]
-    return (s1, s2, s3)
-
-
-def test_syndromes_equal_definitional_loop(tables):
+def test_syndromes_equal_definitional_loop():
     rng = SplitMix64(0x5D)
     words = [1 << j for j in range(63)] + [rng.next_bits(63) for _ in range(10_000)]
     for word in words:
-        assert compute_syndromes(word) == definitional_syndromes(word, tables)
+        assert compute_syndromes(word) == definitional_syndromes(word)
 
 
 def test_syndromes_zero_for_codewords():
@@ -405,7 +394,7 @@ def ibm_locator(syndromes, product):
 
 def ibm_decode(word, tables, product):
     """(status, positions) of a 63-bit word through iBM and a 63-step Chien search."""
-    s1, s2, s3 = definitional_syndromes(word, tables)
+    s1, s2, s3 = definitional_syndromes(word)
     if (s1, s2, s3) == (0, 0, 0):
         return DecodeStatus.NO_ERROR, frozenset()
     locator = ibm_locator([s1, s2, s3, product[s2][s2]], product)
