@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import sys
 from collections.abc import Iterator
 from os.path import realpath
@@ -199,3 +200,16 @@ def main(argv=None) -> int:
     except (FrameFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> None:
+    """Run main() and exit with its status: `python -m bch6351` and `bch6351` start here.
+
+    gc.freeze, however main ends, spares the exit a cycle collection over the ~12 000
+    import-time objects (about 6 ms); main, which also runs in-process, never freezes.
+    """
+    try:
+        status = main()
+    finally:
+        gc.freeze()
+    sys.exit(status)

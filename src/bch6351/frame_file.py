@@ -1,12 +1,14 @@
 """Frame files: one hex frame per line, read and written as a stream.
 
 The line format and the command-line behaviour are described in the cli
-module.  Frames are read in blocks of up to 256 and written in the blocks
-given, so memory is bounded by the block.  A block of lines that hold
-only a frame's digits and a line end is checked and converted as a
-whole, any other block line by line, so an error names its line either
-way.  It is kept out of cli, which imports it, as two compiles peak lower
-than one: 530 KiB for cli, 550 here, 1070 as one module (tracemalloc).
+module.  Frames are read in chunks of the characters of 256 frame lines
+and written in the blocks given, so memory is bounded by the chunk, also
+for a line of any length: a line a chunk cuts is read on in pieces of a
+chunk's size.  A chunk of lines that hold only a frame's digits and a
+line end is checked and converted as a whole, any other line by line, so
+an error names its line either way.  It is kept out of cli, which
+imports it, as two compiles peak lower than one: 530 KiB for cli, 550
+here, 1070 as one module (tracemalloc).
 """
 
 from __future__ import annotations
@@ -30,12 +32,12 @@ class FrameFileError(Exception):
 _HEX_DIGIT = "[0-9a-fA-F]"
 _HEX_DIGITS = re.compile(f"{_HEX_DIGIT}*")
 # By `short`: the hex digits of a frame, its struct code (4 or 8 bytes,
-# big-endian), and a block of lines that hold those digits and a line end.
-_FORMAT = {short: (width, word, re.compile(f"(?:{_HEX_DIGIT}{{{width}}}(?:\n|\r\n?))*"))
+# big-endian), and a chunk of lines that hold those digits and a line end.
+_FORMAT = {short: (width, word, re.compile(f"(?:{_HEX_DIGIT}{{{width}}}\n)*"))
            for short, width, word in ((False, 16, "Q"), (True, 8, "I"))}
 _VALUE_BITS = {("message", False): MESSAGE_BITS, ("codeword", False): CODEWORD_BITS,
                ("message", True): SHORT_PAYLOAD_BITS, ("codeword", True): SHORT_CODEWORD_BITS}
-_BLOCK_FRAMES = 256  # frames read as one block
+_BLOCK_FRAMES = 256  # frame lines read as one chunk
 _DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
 
 
@@ -56,41 +58,63 @@ def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[Sequence[int
 def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[Sequence | None]:
     try:
         # latin-1 maps each byte to one character, so a non-ASCII byte can
-        # be named; newline="" ends lines at \n, \r\n and a bare \r, as
-        # bytes.splitlines does.
-        fh = open(path, encoding="latin-1", newline="")
+        # be named; the default newline=None makes \r\n and a bare \r a \n,
+        # so lines end where bytes.splitlines ends them.
+        fh = open(path, encoding="latin-1")
     except OSError as exc:
         raise FrameFileError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     with fh:
         yield None  # parse_frame_file's first step ends here, with the file open
-        lineno = 0
-        # readlines stops once its lines pass the hint: _BLOCK_FRAMES lines of a frame and \n
-        while lines := fh.readlines(_BLOCK_FRAMES * (width + 1) - 1):
-            text = "".join(lines)
+        lineno, size = 0, _BLOCK_FRAMES * (width + 1)
+        while text := fh.read(size):
             if hex_block.fullmatch(text):
-                values = struct.unpack(f">{len(lines)}{word}", bytes.fromhex(text))
+                values = struct.unpack(f">{len(text) // (width + 1)}{word}", bytes.fromhex(text))
                 if not max(values) >> bits:
-                    lineno += len(lines)
+                    lineno += len(values)
                     yield values
                     continue
+            *lines, last = text.split("\n")
             block = []
             try:  # on a rejected line, the frames before it come first
                 for lineno, line in enumerate(lines, start=lineno + 1):
-                    block.append(_checked_line(path, lineno, line, width, bits))
+                    block.append(_checked_line(path, lineno, (line,), width, bits))
+                if last:  # the line the chunk cut
+                    lineno += 1
+                    block.append(_checked_line(path, lineno, _line_pieces(fh, last, size),
+                                               width, bits))
             finally:
                 yield block
 
 
-def _checked_line(path: str, lineno: int, line: str, width: int, bits: int) -> int:
-    """The frame on one line, or FrameFileError naming the line's first fault."""
-    if not line.isascii():
-        column = next(i for i, char in enumerate(line) if not char.isascii())
-        raise FrameFileError(f"{path}:{lineno}: non-ASCII byte {ord(line[column]):#04x} "
-                             f"at column {column + 1}")
-    text = line.strip()
-    if len(text) != width:
+def _line_pieces(fh, piece: str, size: int) -> Iterator[str]:
+    """A line a read cut: `piece`, then the rest in pieces of up to `size` characters."""
+    yield piece
+    while not piece.endswith("\n") and (piece := fh.readline(size)):
+        yield piece
+
+
+def _checked_line(path: str, lineno: int, pieces: Iterable[str], width: int, bits: int) -> int:
+    """The frame on the line `pieces` give, or FrameFileError naming the line's first fault.
+
+    Of the stripped line only the first 41 characters and the length are kept.
+    """
+    column, head, length, blanks = 0, "", 0, 0  # blanks: those since the last non-blank
+    for piece in pieces:
+        if not piece.isascii():
+            index = next(i for i, char in enumerate(piece) if not char.isascii())
+            raise FrameFileError(f"{path}:{lineno}: non-ASCII byte {ord(piece[index]):#04x} "
+                                 f"at column {column + index + 1}")
+        column += len(piece)
+        if not head:
+            piece = piece.lstrip()
+        if body := piece.rstrip():
+            length, blanks = length + blanks + len(body), 0
+        blanks += len(piece) - len(body)
+        head = (head + piece)[:41]
+    text = head[:length]
+    if length != width:
         # A long line is quoted by its first 40 characters and its length, not whole.
-        got = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+        got = repr(text) if length <= 40 else f"{text[:40]!r}... ({length} characters)"
         raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {got}")
     if not _HEX_DIGITS.fullmatch(text):
         raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")

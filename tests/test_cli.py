@@ -1,6 +1,7 @@
 """CLI behavior: framing, round trips, exit codes, reports."""
 
 import ast
+import gc
 import hashlib
 import os
 import pathlib
@@ -286,6 +287,13 @@ def test_parse_error_bad_hex(tmp_path, capsys):
     pytest.param(b"0" * 100_000,  # quoted by its first 40 characters and its length
                  f"expected 16 hex digits, got '{'0' * 40}'... (100000 characters)",
                  id="100000-digits"),
+    # lines that a read of 256 lines' characters cuts, checked as their pieces come
+    pytest.param(b" " * 10_000 + b"000000000000002a" + b"\t" * 10_000, 42, id="long-blanks"),
+    pytest.param(b" " * 10_000 + b"0\xe9", "non-ASCII byte 0xe9 at column 10002",
+                 id="long-non-ASCII"),
+    pytest.param(b"1" + b" " * 10_000 + b"2",
+                 f"expected 16 hex digits, got '1{' ' * 39}'... (10002 characters)",
+                 id="long-inner-blanks"),
     (b"0x0000000000002a", "not a hex frame: '0x0000000000002a'"),
     (b"8000000000000000", "reserved bits above bit 62 are set"),
 ])
@@ -649,6 +657,28 @@ def test_decode_memory_does_not_grow_with_the_file(tmp_path, newline):
     peak(2_000)  # warm-up: first-call allocations are not the file's
     small, large = peak(2_000), peak(20_000)
     assert large < 1.5 * small, (small, large)
+
+
+def test_a_bad_line_costs_no_more_memory_than_good_frames(tmp_path, capsys):
+    # a line is read in pieces of a chunk's size, so decoding a one-line
+    # file of 2 000 000 digits peaks lower than decoding 2000 good frames
+    def peak(path):
+        tracemalloc.start()
+        try:
+            status = main(["decode", str(path), str(tmp_path / "d.hex")])
+            return status, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    good, bad = tmp_path / "good.hex", tmp_path / "bad.hex"
+    good.write_text("".join(f"{encoder.encode(m):016x}\n" for m in random_messages(2000, 8)))
+    bad.write_text("0" * 2_000_000 + "\n")
+    peak(good)  # warm-up: first-call allocations are not the file's
+    (good_status, good_peak), (bad_status, bad_peak) = peak(good), peak(bad)
+    assert (good_status, bad_status) == (0, 2)
+    assert bad_peak < good_peak, (bad_peak, good_peak)
+    assert capsys.readouterr().err == (f"error: {bad}:1: expected 16 hex digits, got "
+                                       f"'{'0' * 40}'... (2000000 characters)\n")
 
 
 def test_hard_linked_output_is_replaced_not_rewritten(tmp_path):
@@ -1153,3 +1183,39 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
     )
     assert result.returncode == 0
+
+
+# The module entry point as `python -m bch6351` runs it, with an exit hook
+# registered first, so that it runs last: it says whether the heap was frozen.
+FROZEN_AT_EXIT = ("import atexit, gc, runpy, sys; "
+                  "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+                  "runpy.run_module('bch6351', run_name='__main__')")
+
+
+@pytest.mark.parametrize("argv, frames, status", [
+    (["tables"], None, 0),
+    (["corrupt", "--weight", "99", "--seed", "1", "in.hex", "out.hex"], None, 2),
+    (["decode", "in.hex", "out.hex"], "zz\n", 2),
+    (["decode", "in.hex", "out.hex"], "0000000000000c62\n", 1),  # uncorrectable
+], ids=["tables", "usage-error", "malformed-file", "uncorrectable-frame"])
+def test_every_exit_freezes_the_heap_first(tmp_path, monkeypatch, argv, frames, status):
+    # the interpreter's exit then skips the cycle collection over the import-time objects
+    monkeypatch.chdir(tmp_path)
+    if frames is not None:
+        pathlib.Path("in.hex").write_text(frames)
+    result = subprocess.run(
+        [sys.executable, "-c", FROZEN_AT_EXIT, *argv], stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
+    )
+    assert result.returncode == status, result.stderr
+    assert result.stderr.endswith("True\n"), result.stderr
+
+
+@pytest.mark.parametrize("command", ["tables", "selftest"])
+def test_main_in_process_leaves_the_heap_unfrozen(capsys, command):
+    # only the process's exit path freezes: in a process that goes on, a
+    # frozen object is never collected
+    before = gc.get_freeze_count()
+    assert main([command]) == 0
+    assert gc.get_freeze_count() == before

@@ -89,7 +89,7 @@ def _line_by_line(path, data, width, bits):
     values = []
     try:
         for lineno, line in enumerate(data.splitlines(keepends=True), start=1):
-            values.append(frame_file._checked_line(path, lineno, line.decode("latin-1"),
+            values.append(frame_file._checked_line(path, lineno, (line.decode("latin-1"),),
                                                    width, bits))
     except FrameFileError as exc:
         return values, str(exc)
