@@ -55,7 +55,7 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     received = parse_frame_file(args.infile, "codeword", args.short)
     patterns = coset_decoder(decode)
-    sent_bits = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
+    sent_bits = args.sent_bits  # a local: the loop below reads it once a frame
     # A report row after its frame index, by the number of bits corrected.
     rows = [f",{status.value},{bits}\n" for status, bits in
             ((DecodeStatus.NO_ERROR, 0), (DecodeStatus.CORRECTED, 1), (DecodeStatus.CORRECTED, 2))]
@@ -81,7 +81,7 @@ def _cmd_decode(args) -> int:
         if report is not None:  # a report that cannot be written fails before OUT is replaced
             report.flush()
 
-    with replacing(args.report) if args.report else contextlib.nullcontext() as report:
+    with replacing(args.report) if args.report is not None else contextlib.nullcontext() as report:
         if report is not None:
             report.write("frame_index,status,num_errors_corrected\n")
         write_frame_file(args.outfile, messages(report), args.short)
@@ -97,13 +97,12 @@ def _cmd_corrupt(args) -> int:
     from . import channel_sim
 
     blocks = parse_frame_file(args.infile, "codeword", args.short)
-    n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
     # Frame i's mask comes from sub-seed i: map draws a mask for each frame
     # of a block and stops at its end.
     if args.bsc is not None:
-        masks = channel_sim.bernoulli_masks(args.bsc, args.seed, n)
+        masks = channel_sim.bernoulli_masks(args.bsc, args.seed, args.sent_bits)
     else:
-        masks = channel_sim.random_error_patterns(args.weight, n, args.seed)
+        masks = channel_sim.random_error_patterns(args.weight, args.sent_bits, args.seed)
     write_frame_file(args.outfile, (list(map(int.__xor__, block, masks)) for block in blocks),
                      args.short)
     return 0
@@ -113,7 +112,7 @@ def _cmd_ber(args) -> int:
     from . import channel_sim
 
     report = channel_sim.run_ber_experiment(args.p, args.frames, args.seed)
-    with replacing(args.csv) if args.csv else contextlib.nullcontext(sys.stdout) as fh:
+    with replacing(args.csv) if args.csv is not None else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(report.CSV_HEADER + "\n" + report.csv_row() + "\n")
     return 0
 
@@ -180,10 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "weight", None) is not None:
-        n = SHORT_CODEWORD_BITS if args.short else CODEWORD_BITS
-        if not 0 <= args.weight <= n:
-            parser.error(f"--weight must be in 0..{n}")
+    args.sent_bits = SHORT_CODEWORD_BITS if getattr(args, "short", False) else CODEWORD_BITS
+    if getattr(args, "weight", None) is not None and not 0 <= args.weight <= args.sent_bits:
+        parser.error(f"--weight must be in 0..{args.sent_bits}")
     if getattr(args, "bsc", None) is not None and not 0.0 <= args.bsc <= 1.0:
         parser.error("--bsc probability must be in [0, 1]")
     if getattr(args, "seed", None) is not None and not 0 <= args.seed < 1 << 64:

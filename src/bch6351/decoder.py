@@ -239,14 +239,12 @@ def coset_decoder(decoder) -> Callable[[Sequence[int]], list[int]]:
     known: list[int | None] = [None] * (1 << PARITY_BITS)
 
     def patterns(words: Sequence[int]) -> list[int]:
-        keys = _coset_keys(words, columns)
-        found = list(map(known.__getitem__, keys))
-        if None in found:
-            for i, key in enumerate(keys):
-                if known[key] is None:
-                    corrected = decoder(words[i]).corrected
-                    known[key] = 1 << CODEWORD_BITS if corrected is None else words[i] ^ corrected
-                found[i] = known[key]
+        found = []
+        for word, key in zip(words, _coset_keys(words, columns)):
+            if known[key] is None:
+                corrected = decoder(word).corrected
+                known[key] = 1 << CODEWORD_BITS if corrected is None else word ^ corrected
+            found.append(known[key])
         return found
 
     return patterns

@@ -49,7 +49,7 @@ _FEEDBACK = GENERATOR_POLY & _REGISTER_MASK
 
 # The parity is linear in the message bits: message bit i contributes
 # x^(12+i) mod g(x).  One table per message byte adds up those remainders.
-_PARITY_TABLES = byte_tables(
+_P0, _P1, _P2, _P3, _P4, _P5, _P6 = byte_tables(
     [gf2_mod(1 << (PARITY_BITS + i), GENERATOR_POLY) for i in range(MESSAGE_BITS)]
 )
 
@@ -112,12 +112,9 @@ def encode(message: int) -> int:
     """
     if message >> MESSAGE_BITS:
         raise ValueError("message exceeds 51 bits")
-    parity = 0
-    rest = message
-    for table in _PARITY_TABLES:
-        parity ^= table[rest & 0xFF]
-        rest >>= 8
-    return (message << PARITY_BITS) | parity
+    m0, m1, m2, m3, m4, m5, m6 = message.to_bytes(7, "little")
+    return (message << PARITY_BITS
+            | _P0[m0] ^ _P1[m1] ^ _P2[m2] ^ _P3[m3] ^ _P4[m4] ^ _P5[m5] ^ _P6[m6])
 
 
 def encode_polydiv_oracle(message: int) -> int:

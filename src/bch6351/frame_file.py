@@ -166,8 +166,13 @@ def replacing(path: str) -> Iterator:
 
     Replacing, unlike rewriting in place, needs write access to the
     target's directory, gives other hard links to the target the old
-    content, and makes the new file owned by the current user.
+    content, and makes the new file owned by the current user.  A path
+    with no file name ("", or one ending in "/", "." or "..") raises
+    OSError naming it before any file is made, as open() refuses it.
     """
+    if os.path.basename(path) in ("", ".", ".."):  # realpath would name a directory
+        code = errno.EISDIR if path else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
     named, mode = _DESCRIPTOR_PATH.fullmatch(path), None
     if named:  # opening the path by name would truncate a file that >> opened
         try:

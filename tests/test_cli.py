@@ -722,6 +722,28 @@ def test_output_error_names_the_path_given(tmp_path, monkeypatch, capsys):
         assert "replaced" not in err  # said only of an output that exists
 
 
+@pytest.mark.parametrize("out, code", [("", 2), ("new/", 21), ("new/.", 21)],
+                         ids=["empty", "trailing-slash", "trailing-dot"])
+@pytest.mark.parametrize("command", [
+    ["encode", "m.hex", "{out}"],
+    ["decode", "--report", "{out}", "m.hex", "d.hex"],
+    ["ber", "--p", "0.1", "--frames", "3", "--seed", "1", "--csv", "{out}"],
+], ids=["encode", "decode-report", "ber-csv"])
+def test_an_output_path_with_no_file_name_is_refused(tmp_path, monkeypatch, capsys, command,
+                                                     out, code):
+    # realpath turns these into a directory; no file is made, OUT stays
+    # as it was, and the error names the path as given
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    write_messages(work / "m.hex", [0, 1])
+    (work / "d.hex").write_bytes(b"old output\n")
+    assert main([arg.format(out=out) for arg in command]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: '{out}'\n")
+    assert sorted(os.listdir(work)) == ["d.hex", "m.hex"] and os.listdir(tmp_path) == ["work"]
+    assert (work / "d.hex").read_bytes() == b"old output\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["decode"])  # missing positionals
@@ -955,9 +977,9 @@ def wrong_product(monkeypatch):
 
 
 def wrong_parity_entry(monkeypatch):
-    tables = [list(table) for table in encoder._PARITY_TABLES]
-    tables[6][3] ^= 1
-    monkeypatch.setattr(encoder, "_PARITY_TABLES", tuple(map(tuple, tables)))
+    table = list(encoder._P6)
+    table[3] ^= 1
+    monkeypatch.setattr(encoder, "_P6", tuple(table))
 
 
 def wrong_coset_3_word(monkeypatch):
@@ -1026,10 +1048,13 @@ def nonzero_codeword_syndromes(monkeypatch):
 def or_combining_encode(monkeypatch):
     # the parity tables' entries combined by OR: equal to the XOR wherever
     # at most one message byte is nonzero, and on the all-ones message
+    tables = (encoder._P0, encoder._P1, encoder._P2, encoder._P3,
+              encoder._P4, encoder._P5, encoder._P6)
+
     def encode(message):
         parity = 0
-        for k, table in enumerate(encoder._PARITY_TABLES):
-            parity |= table[message >> 8 * k & 0xFF]
+        for byte, table in zip(message.to_bytes(7, "little"), tables):
+            parity |= table[byte]
         return message << encoder.PARITY_BITS | parity
 
     assert encode(0x7FFFFFFFFFFFF) == encoder.encode(0x7FFFFFFFFFFFF)
