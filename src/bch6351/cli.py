@@ -31,12 +31,12 @@ runs the checks in the certificates module, which no other command imports.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import gc
 import sys
 from collections.abc import Iterator
 from os.path import realpath
+from types import SimpleNamespace
 
 # gf_mul_mse and encode_lfsr are not called here; bench/run.py traces them in this module.
 from .gf64 import build_tables, format_antilog_table, gf_mul_mse  # noqa: F401
@@ -128,7 +128,11 @@ def _cmd_selftest(args) -> int:
     return certificates.run()
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argparse parser: it reads every command line that _plain_args leaves, and prints
+    each usage line, help text and usage error."""
+    import argparse  # about 5 ms with its set-up, which a plain command line is spared
+
     parser = argparse.ArgumentParser(
         prog="bch6351",
         description="(63,51) two-error-correcting block codec: encode, decode, "
@@ -176,23 +180,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# By command: its options (option string -> int, float, str, or bool for a flag), its
+# positionals, and the groups of its options of which exactly one must be given; as
+# build_parser() defines them, which the tests check.
+_PLAIN = {
+    "encode": ({"--short": bool}, ("infile", "outfile"), ()),
+    "decode": ({"--short": bool, "--report": str, "--allow-errors": bool},
+               ("infile", "outfile"), ()),
+    "corrupt": ({"--short": bool, "--weight": int, "--bsc": float, "--seed": int},
+                ("infile", "outfile"), (("--weight", "--bsc"), ("--seed",))),
+    "ber": ({"--p": float, "--frames": int, "--seed": int, "--csv": str}, (),
+            (("--p",), ("--frames",), ("--seed",))),
+    "tables": ({}, (), ()),
+    "selftest": ({}, (), ()),
+}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser().parse_args(argv) sets, if argv is plain; else None.
+
+    Plain is a command, then its positionals and its options in any order:
+    each option at most once, by its full name, with a value that does not
+    start with "-" and that its type accepts, and the required ones given.
+    Anything else (-h, --seed=3, an abbreviation, --, a repeat, a missing
+    positional) is left to argparse, which reads it or reports it.
+    """
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    command, tokens = argv[0], iter(argv[1:])
+    options, positionals, required = _PLAIN[command]
+    given, values = {}, []
+    for token in tokens:
+        if not token.startswith("-"):
+            values.append(token)
+            continue
+        kind = options.get(token)
+        if kind is None or token in given:
+            return None
+        if kind is bool:
+            given[token] = True
+            continue
+        value = next(tokens, "-")  # a missing value is left to argparse, as a dash is
+        if value.startswith("-"):
+            return None
+        try:
+            given[token] = kind(value)
+        except ValueError:
+            return None
+    if len(values) != len(positionals) or any(len(given.keys() & group) != 1
+                                              for group in required):
+        return None
+    # func is read when main runs, so that a patched _cmd_* is the one called
+    return SimpleNamespace(
+        command=command, func=globals()[f"_cmd_{command}"], **dict(zip(positionals, values)),
+        **{option[2:].replace("-", "_"): given.get(option, False if kind is bool else None)
+           for option, kind in options.items()})
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_args(argv) or build_parser().parse_args(argv)
     args.sent_bits = SHORT_CODEWORD_BITS if getattr(args, "short", False) else CODEWORD_BITS
+    # a range error is reported by the parser, which is built only then
     if getattr(args, "weight", None) is not None and not 0 <= args.weight <= args.sent_bits:
-        parser.error(f"--weight must be in 0..{args.sent_bits}")
+        build_parser().error(f"--weight must be in 0..{args.sent_bits}")
     if getattr(args, "bsc", None) is not None and not 0.0 <= args.bsc <= 1.0:
-        parser.error("--bsc probability must be in [0, 1]")
+        build_parser().error("--bsc probability must be in [0, 1]")
     if getattr(args, "seed", None) is not None and not 0 <= args.seed < 1 << 64:
-        parser.error("--seed must be in 0..2^64-1")
+        build_parser().error("--seed must be in 0..2^64-1")
     if getattr(args, "report", None) and realpath(args.report) == realpath(args.outfile):
-        parser.error("--report and OUT name the same file")
+        build_parser().error("--report and OUT name the same file")
     if args.command == "ber":
         if not 0.0 <= args.p <= 1.0:
-            parser.error("--p probability must be in [0, 1]")
+            build_parser().error("--p probability must be in [0, 1]")
         if args.frames < 1:
-            parser.error("--frames must be at least 1")
+            build_parser().error("--frames must be at least 1")
     try:
         return args.func(args)
     except (FrameFileError, OSError, ValueError) as exc:

@@ -29,16 +29,17 @@ class FrameFileError(Exception):
     """Malformed frame file; message carries file and line context."""
 
 
-_HEX_DIGIT = "[0-9a-fA-F]"
-_HEX_DIGITS = re.compile(f"{_HEX_DIGIT}*")
+_HEX_DIGITS = "0123456789abcdefABCDEF"
 # By `short`: the hex digits of a frame, its struct code (4 or 8 bytes,
-# big-endian), and a chunk of lines that hold those digits and a line end.
-_FORMAT = {short: (width, word, re.compile(f"(?:{_HEX_DIGIT}{{{width}}}\n)*"))
+# big-endian), and the pattern of a chunk of lines that hold those digits
+# and a line end.  The patterns are compiled on first use, through re's
+# cache, so that a command that reads no frame file never compiles them.
+_FORMAT = {short: (width, word, f"(?:[0-9a-fA-F]{{{width}}}\n)*")
            for short, width, word in ((False, 16, "Q"), (True, 8, "I"))}
 _VALUE_BITS = {("message", False): MESSAGE_BITS, ("codeword", False): CODEWORD_BITS,
                ("message", True): SHORT_PAYLOAD_BITS, ("codeword", True): SHORT_CODEWORD_BITS}
 _BLOCK_FRAMES = 256  # frame lines read as one chunk
-_DESCRIPTOR_PATH = re.compile("/dev/(?:(stdout)|(stderr)|fd/([0-9]+))")
+_DESCRIPTOR_PATH = "/dev/(?:(stdout)|(stderr)|fd/([0-9]+))"
 
 
 def parse_frame_file(path: str, kind: str, short: bool) -> Iterator[Sequence[int]]:
@@ -67,7 +68,7 @@ def _frames(path: str, width: int, word: str, hex_block, bits: int) -> Iterator[
         yield None  # parse_frame_file's first step ends here, with the file open
         lineno, size = 0, _BLOCK_FRAMES * (width + 1)
         while text := fh.read(size):
-            if hex_block.fullmatch(text):
+            if re.fullmatch(hex_block, text):
                 values = struct.unpack(f">{len(text) // (width + 1)}{word}", bytes.fromhex(text))
                 if not max(values) >> bits:
                     lineno += len(values)
@@ -116,7 +117,7 @@ def _checked_line(path: str, lineno: int, pieces: Iterable[str], width: int, bit
         # A long line is quoted by its first 40 characters and its length, not whole.
         got = repr(text) if length <= 40 else f"{text[:40]!r}... ({length} characters)"
         raise FrameFileError(f"{path}:{lineno}: expected {width} hex digits, got {got}")
-    if not _HEX_DIGITS.fullmatch(text):
+    if text.strip(_HEX_DIGITS):
         raise FrameFileError(f"{path}:{lineno}: not a hex frame: {text!r}")
     value = int(text, 16)
     if value >> bits:
@@ -173,7 +174,7 @@ def replacing(path: str) -> Iterator:
     if os.path.basename(path) in ("", ".", ".."):  # realpath would name a directory
         code = errno.EISDIR if path else errno.ENOENT
         raise OSError(code, os.strerror(code), path)
-    named, mode = _DESCRIPTOR_PATH.fullmatch(path), None
+    named, mode = re.fullmatch(_DESCRIPTOR_PATH, path), None
     if named:  # opening the path by name would truncate a file that >> opened
         try:
             in_place = os.dup(1 if named[1] else 2 if named[2] else int(named[3]))

@@ -750,6 +750,141 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def parsed(args) -> dict:
+    # a float by its repr, so that nan equals nan and -0.0 differs from 0.0
+    return {name: repr(value) if isinstance(value, float) else value
+            for name, value in vars(args).items()}
+
+
+# The command lines the benchmark and CI run, and one of each command: all plain.
+PLAIN_LINES = [
+    ["encode", "m.hex", "c.hex"],
+    ["encode", "--short", "m.hex", "c.hex"],
+    ["corrupt", "--weight", "2", "--seed", "7", "c.hex", "r.hex"],
+    ["corrupt", "r.hex", "--short", "--bsc", "0.05", "o.hex", "--seed", "1"],
+    ["decode", "--report", "report.csv", "r.hex", "d.hex"],
+    ["decode", "--short", "--allow-errors", "r.hex", "d.hex"],
+    ["ber", "--p", "0.001", "--frames", "10000", "--seed", "1"],
+    ["ber", "--csv", "out.csv", "--seed", "0", "--frames", "1", "--p", "nan"],
+    ["encode", "", "a b"],
+    ["tables"],
+    ["selftest"],
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_LINES, ids=" ".join)
+def test_a_plain_command_line_is_read_as_argparse_reads_it(argv):
+    args = cli._plain_args(argv)
+    assert args is not None
+    assert parsed(args) == parsed(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["enc", "m.hex", "c.hex"], ["tables", "-h"],
+    ["ber", "--p", "0.1", "--fra", "3", "--seed", "1"],  # an abbreviation
+    ["ber", "--p", "0.1", "--frames", "3", "--seed=3"],
+    ["encode", "--", "m.hex", "c.hex"],
+    ["encode", "-", "c.hex"],
+    ["corrupt", "--weight", "2", "--seed", "-1", "c.hex", "r.hex"],  # a value with a dash
+    ["ber", "--p", "0.1", "--frames", "3", "--seed", "1", "--p", "0.1"],  # a repeat
+    ["encode", "--short", "--short", "m.hex", "c.hex"],
+    ["encode", "m.hex"], ["encode", "m.hex", "c.hex", "x.hex"], ["tables", "x"],
+    ["ber", "--p", "0.1", "--frames", "3"],  # a required option missing
+    ["corrupt", "--seed", "1", "c.hex", "r.hex"],
+    ["corrupt", "--weight", "2", "--bsc", "0.1", "--seed", "1", "c.hex", "r.hex"],
+    ["ber", "--p", "0.1", "--frames", "3.0", "--seed", "1"],  # a value its type refuses
+    ["ber", "--p", "x", "--frames", "3", "--seed", "1"],
+    ["ber", "--p", "0.1", "--frames", "3", "--seed", "1", "--csv"],  # a value missing
+    ["decode", "--weight", "2", "r.hex", "d.hex"],  # another command's option
+], ids=" ".join)
+def test_a_command_line_that_is_not_plain_is_left_to_argparse(argv):
+    assert cli._plain_args(argv) is None
+
+
+# Tokens for generated command lines: the table's own, and the forms left to argparse.
+ODD_OPTIONS = ["-h", "--help", "--rep", "--fra", "--se", "--sh", "--seed=3", "--p=0.1", "--",
+               "-", "-s", "--Short", "--allow_errors", "--weight", "--csv"]
+# By type: values it accepts, then values it refuses or that start with a dash.
+VALUES = {int: (["0", "7", "63", "64", "18446744073709551615", "18446744073709551616", " 5",
+                 "1_0", "\u0663"], ["-1", "-0", "0x10", "", "x", "1.5"]),
+          float: (["0", "0.1", "1e-3", "1", "2", "nan", "inf", " 0.2", "1_0.5"],
+                  ["-inf", "-0.5", "", "x", "0x1p-3"]),
+          str: (["r.csv", "out.csv", "", "a b"], ["-", "-x", "--short"])}
+NAMES = ["m.hex", "c.hex", "r.hex", "", "a b", "tables", "-", "-1", "--"]
+
+
+def generated_command_lines(count, seed):
+    """Command lines built from the table's commands, options and positionals, and from
+    what the table does not hold: odd options, values of every kind, repeats, extra or
+    missing positionals and values, in shuffled order."""
+    rng = random.Random(seed)
+    commands = [*cli._PLAIN, *cli._PLAIN, *cli._PLAIN, "bogus", "-h", "--help", "enc"]
+    for _ in range(count):
+        command = rng.choice(commands)
+        options, positionals, required = cli._PLAIN.get(command, ({}, (), ()))
+        odd = rng.sample(ODD_OPTIONS, rng.choice([0] * 6 + [1, 2]))
+        pool = {**options, **{option: rng.choice([bool, int, float, str]) for option in odd}}
+        for group in required:  # mostly one of a group of alternatives
+            if len(group) > 1 and rng.random() < 0.9:
+                keep = rng.choice(group)
+                pool = {option: kind for option, kind in pool.items()
+                        if option not in group or option == keep}
+        parts = [[rng.choice(NAMES[:6] * 6 + NAMES)]
+                 for _ in range(len(positionals) + rng.choice([0] * 8 + [-1, 1]))]
+        for option, kind in pool.items():
+            for _ in range(rng.choice([0, 0] + [1] * 16 + [2])):
+                if kind is bool:
+                    parts.append([option])
+                else:
+                    accepted, refused = VALUES[kind]
+                    parts.append([option, rng.choice(accepted * 4 + refused)])
+        rng.shuffle(parts)
+        argv = [command, *chain.from_iterable(parts)]
+        yield argv[:-1] if argv[1:] and rng.random() < 0.03 else argv
+
+
+def test_generated_command_lines_are_read_as_argparse_reads_them():
+    parser, accepted = cli.build_parser(), []
+    for argv in generated_command_lines(6000, seed=35):
+        args = cli._plain_args(argv)
+        if args is not None:
+            assert parsed(args) == parsed(parser.parse_args(argv)), argv
+            accepted.append(argv)
+    # each command is read with and without options, and most lines are left to argparse
+    assert {argv[0] for argv in accepted if len(argv) > 3} == {"encode", "decode", "corrupt", "ber"}
+    assert {argv[0] for argv in accepted} == set(cli._PLAIN)
+    assert 1500 < len(accepted) < 4500
+
+
+def test_the_plain_table_is_what_the_parser_defines():
+    import argparse
+
+    parser = cli.build_parser()
+    [commands] = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    table = {}
+    for command, sub in commands.choices.items():
+        actions = [action for action in sub._actions
+                   if not isinstance(action, argparse._HelpAction)]
+        options = {}
+        for action in [action for action in actions if action.option_strings]:
+            [option] = action.option_strings
+            flag = isinstance(action, argparse._StoreTrueAction)
+            assert flag or type(action) is argparse._StoreAction
+            assert (action.dest, action.nargs, action.choices, action.default) == (
+                option[2:].replace("-", "_"), 0 if flag else None, None, False if flag else None)
+            options[option] = bool if flag else action.type or str
+        positionals = tuple(action.dest for action in actions if not action.option_strings)
+        required = {(action.option_strings[0],) for action in actions
+                    if action.required and action.option_strings}
+        required |= {tuple(action.option_strings[0] for action in group._group_actions)
+                     for group in sub._mutually_exclusive_groups if group.required}
+        assert sub._defaults == {"func": getattr(cli, f"_cmd_{command}")}
+        table[command] = (options, positionals, required)
+    assert table == {command: (options, positionals, set(required))
+                     for command, (options, positionals, required) in cli._PLAIN.items()}
+
+
 def test_read_rewrite_identity(tmp_path):
     original = tmp_path / "a.hex"
     rewritten = tmp_path / "b.hex"
@@ -1178,16 +1313,17 @@ def test_every_top_level_definition_has_a_reader_outside_the_tests():
 def test_cli_import_does_not_load_dataclasses():
     # dataclasses pulls in inspect, a large share of every command's start-up;
     # -S keeps the interpreter's own site imports out of the check.  Only
-    # selftest imports the certificates.
+    # selftest imports the certificates, and only build_parser argparse.
     result = subprocess.run(
         [sys.executable, "-S", "-c",
          "import sys, bch6351.cli; "
-         "print('dataclasses' in sys.modules, 'bch6351.certificates' in sys.modules)"],
+         "print('dataclasses' in sys.modules, 'bch6351.certificates' in sys.modules, "
+         "'argparse' in sys.modules)"],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False False\n"
+    assert result.stdout == "False False False\n"
 
 
 def test_selftest_passes_under_optimize_flag():
@@ -1210,11 +1346,17 @@ def test_module_entry_point(tmp_path):
     assert result.returncode == 0
 
 
-# The module entry point as `python -m bch6351` runs it, with an exit hook
-# registered first, so that it runs last: it says whether the heap was frozen.
-FROZEN_AT_EXIT = ("import atexit, gc, runpy, sys; "
-                  "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
-                  "runpy.run_module('bch6351', run_name='__main__')")
+def run_with_exit_hook(flags, report, argv) -> subprocess.CompletedProcess:
+    """Run the module entry point as `python -m bch6351 argv` runs it, with an exit hook
+    registered first, so that it runs last: it prints the expression `report` to stderr."""
+    return subprocess.run(
+        [sys.executable, *flags, "-c",
+         "import atexit, gc, runpy, sys; "
+         f"atexit.register(lambda: print({report}, file=sys.stderr)); "
+         "runpy.run_module('bch6351', run_name='__main__')", *argv],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
+    )
 
 
 @pytest.mark.parametrize("argv, frames, status", [
@@ -1228,13 +1370,31 @@ def test_every_exit_freezes_the_heap_first(tmp_path, monkeypatch, argv, frames, 
     monkeypatch.chdir(tmp_path)
     if frames is not None:
         pathlib.Path("in.hex").write_text(frames)
-    result = subprocess.run(
-        [sys.executable, "-c", FROZEN_AT_EXIT, *argv], stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE, text=True,
-        env={**os.environ, "PYTHONPATH": str(pathlib.Path(bch6351.__file__).parent.parent)},
-    )
+    result = run_with_exit_hook([], "gc.get_freeze_count() > 0", argv)
     assert result.returncode == status, result.stderr
     assert result.stderr.endswith("True\n"), result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables"],
+    ["encode", "m.hex", "c.hex"],
+    ["ber", "--p", "0.1", "--frames", "3", "--seed", "1"],
+    ["ber", "--p", "0.1", "--fra", "3", "--seed", "1"],  # an abbreviation: argparse reads it
+], ids=["tables", "encode", "ber", "ber-abbreviated"])
+def test_a_plain_command_line_never_imports_argparse(tmp_path, monkeypatch, argv):
+    # argparse, with the gettext and locale it imports, is about 5 ms of a
+    # start; -S keeps the interpreter's own site imports out of the check
+    monkeypatch.chdir(tmp_path)
+    write_messages(tmp_path / "m.hex", [1, 2, 3])
+    result = run_with_exit_hook(
+        ["-S"], "[name for name in ('argparse', 'gettext', 'locale') if name in sys.modules]",
+        argv)
+    assert result.returncode == 0, result.stderr
+    loaded = ast.literal_eval(result.stderr.splitlines()[-1])
+    if "--fra" in argv:
+        assert "argparse" in loaded
+    else:
+        assert loaded == []
 
 
 @pytest.mark.parametrize("command", ["tables", "selftest"])

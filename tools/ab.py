@@ -1,6 +1,6 @@
 """Alternating A/B runs of the benchmark: a base commit against the working tree.
 
-    python tools/ab.py --base HEAD --workload selftest --pairs 10 --seconds 25
+    python tools/ab.py --base HEAD --workload selftest --pairs 10 --seconds 25 --seed 1
 
 The base commit is exported with `git archive BASE | tar -x` into a
 temporary directory, and the working tree's files (tracked or not, less
@@ -38,7 +38,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def run(checkout: Path, args, env: dict) -> dict:
     """The metrics of one `bench/run.py --trace 0` run in the checkout."""
     result = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
          "--seconds", str(args.seconds), "--trace", "0"],
         cwd=checkout, env=env, capture_output=True, text=True)
     lines = result.stdout.splitlines()
@@ -61,6 +61,8 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="the workload seed of both sides; a claim is checked on a second one")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
